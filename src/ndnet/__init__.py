@@ -48,9 +48,8 @@ from .ndlayer import (
     nd_forward_signed,
     nd_forward_softplus,
     pair_count,
-    pair_index,
 )
-from .ndmath import matvec, sigmoid, softplus
+from .ndmath import sigmoid, softplus
 from .network import (
     AdamState,
     DenseLayer,

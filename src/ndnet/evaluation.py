@@ -17,7 +17,6 @@ from . import network as net
 from .ndlayer import (
     NdParams,
     PairIndexer,
-    attention_gate,
     nd_backward,
     nd_backward_signed,
     nd_backward_softplus,
@@ -57,14 +56,21 @@ def accuracy(model: net.Model, dataset) -> float:
     """Fraction of samples whose thresholded logit matches the label.
 
     sigmoid(logit) > 0.5 predicts class 1; the exact tie predicts class 0.
-    Datasets containing negative values (noise-perturbed inputs) are
-    routed through the signed-tolerant forward automatically.
+    Rows containing a negative value (noise-perturbed inputs) are routed
+    through the signed-tolerant forward; the other rows keep the plain
+    forward, so a row's logit does not depend on which rows share its set.
     """
     if dataset.n_samples == 0:
         raise ValueError("dataset is empty")
     _check_bands(model, dataset)
-    signed = bool((dataset.X < 0).any())
-    logits, _ = net.model_forward(model, dataset.X, signed=signed)
+    negative = (dataset.X < 0).any(axis=1)
+    if negative.any():
+        logits = np.empty(dataset.n_samples)
+        logits[~negative], _ = net.model_forward(model, dataset.X[~negative])
+        logits[negative], _ = net.model_forward(model, dataset.X[negative],
+                                                signed=True)
+    else:
+        logits, _ = net.model_forward(model, dataset.X)
     return net.accuracy_from_logits(logits, dataset.y)
 
 
@@ -287,25 +293,6 @@ def _random_model(arch, depth, n_bands, rng, eps):
     return model
 
 
-def _relu_margins_ok(model, bands):
-    """FD perturbations must not cross a ReLU kink mid-check."""
-    x = bands[None, :]
-    if model.arch in ("nd", "attnd"):
-        x, _ = nd_forward(x, model.nd_params, model.eps, model.indexer)
-        if model.arch == "attnd":
-            x, _ = attention_gate(bands[None, :], model.attn_weights,
-                                  model.attn_bias, x)
-    for layer in model.layers:
-        pre = x @ layer.weights.T + layer.bias
-        if layer.activation == "relu":
-            if np.abs(pre).min() < RELU_KINK_MARGIN:
-                return False
-            x = np.maximum(pre, 0.0)
-        else:
-            x = pre
-    return True
-
-
 def _gradcheck_model(arch, depth, trials, tol, seed, eps, max_coords):
     rng = np.random.default_rng(seed)
     worst = {}
@@ -313,12 +300,15 @@ def _gradcheck_model(arch, depth, trials, tol, seed, eps, max_coords):
         for _attempt in range(200):
             model = _random_model(arch, depth, 10, rng, eps)
             bands = rng.uniform(0.01, 1.0, size=10)
-            if _relu_margins_ok(model, bands):
+            _, cache = net.model_forward(model, bands)
+            # FD perturbations must not cross a ReLU kink mid-check.
+            if all(np.abs(dense.pre).min() >= RELU_KINK_MARGIN
+                   for layer, dense in zip(model.layers, cache.dense)
+                   if layer.activation == "relu"):
                 break
         else:
             raise RuntimeError("could not sample a kink-free configuration")
 
-        _, cache = net.model_forward(model, bands)
         grads, d_bands = net.model_backward(model, cache, 1.0)
 
         def objective():

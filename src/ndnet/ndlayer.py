@@ -1,31 +1,31 @@
 """Learnable normalized-difference features over all channel pairs.
 
-For every pair (i, j) of input channels with i < j the layer computes
+For every pair (i, j) of input channels with i < j the layer computes one
+quotient,
 
-    N_ij = (sa * b_i - sb * b_j) / (sa * b_i + sb * b_j + eps)
+    N_ij = (sa*b_i - sb*b_j) / (sa*m(b_i) + sb*m(b_j) + eps)
 
 where sa = softplus(alpha_ij) and sb = softplus(beta_ij) are learned
-positive coupling coefficients and eps > 0 keeps the denominator bounded
-away from zero. With alpha == beta the output reduces (in the eps -> 0
-limit) to the classical normalized difference (b_i - b_j) / (b_i + b_j):
-bounded in [-1, 1] and invariant to a common positive rescaling of the
-inputs.
+positive coupling coefficients, eps > 0 keeps the denominator away from
+zero and the map m makes the denominator dominate the numerator, so
+outputs lie in [-1, 1]. The three variants differ only in m:
 
-The backward passes use closed-form partial derivatives. Writing
-A = sa*b_i - sb*b_j and B = sa*b_i + sb*b_j + eps, the quotient rule plus
-the identities B - A = 2*sb*b_j + eps and B + A = 2*sa*b_i + eps give
+* ``nd_forward``: the identity, for nonnegative inputs. With alpha == beta
+  the output reduces (as eps -> 0) to the classical normalized difference
+  (b_i - b_j) / (b_i + b_j), invariant to a common positive input gain;
+* ``nd_forward_signed``: the smooth absolute value sqrt(b^2 + eps);
+* ``nd_forward_softplus``: the identity after mapping inputs through softplus.
 
-    dN/dalpha =  sigmoid(alpha) * b_i * (2*sb*b_j + eps) / B^2
-    dN/dbeta  = -sigmoid(beta)  * b_j * (2*sa*b_i + eps) / B^2
-    dN/db_i   =  sa * (2*sb*b_j + eps) / B^2
-    dN/db_j   = -sb * (2*sa*b_i + eps) / B^2
+The backward passes use closed-form partial derivatives. With
+A = sa*b_i - sb*b_j and B the denominator, the quotient rule gives
 
-Two generalizations accept inputs of any sign:
+    dN/dsa =  (b_i*B - A*m(b_i)) / B^2    dN/db_i =  sa*(B - A*m'(b_i)) / B^2
+    dN/dsb = -(b_j*B + A*m(b_j)) / B^2    dN/db_j = -sb*(B + A*m'(b_j)) / B^2
 
-* ``nd_forward_signed`` keeps the raw numerator but replaces each |b| in
-  the denominator with the smooth stand-in sqrt(b^2 + eps);
-* ``nd_forward_softplus`` maps inputs through softplus first and reuses
-  the nonnegative formulation on the transformed values.
+and dsa/dalpha = sigmoid(alpha). For the identity, B - A = 2*sb*b_j + eps
+and B + A = 2*sa*b_i + eps remove the cancellation, e.g.
+dN/db_i = sa*(2*sb*b_j + eps) / B^2; the softplus variant chains this with
+d softplus(b)/db = sigmoid(b).
 
 All forwards accept a single channel vector of shape (n,) or a batch of
 shape (batch, n). Parameter gradients are summed over the batch axis;
@@ -47,13 +47,10 @@ __all__ = [
     "PairIndexer",
     "NdParams",
     "NdCache",
-    "NdSignedCache",
-    "NdSoftplusCache",
     "NdGradients",
     "AttentionCache",
     "AttentionGradients",
     "pair_count",
-    "pair_index",
     "nd_forward",
     "nd_backward",
     "nd_forward_signed",
@@ -70,18 +67,6 @@ def pair_count(n_bands: int) -> int:
     if n_bands < 2:
         raise ValueError(f"need at least 2 bands, got {n_bands}")
     return n_bands * (n_bands - 1) // 2
-
-
-def pair_index(i: int, j: int, n_bands: int) -> int:
-    """Lexicographic rank of the pair (i, j), i < j, among all pairs.
-
-    The rank is the position of (i, j) when pairs are listed as
-    (0,1), (0,2), ..., (0,n-1), (1,2), ... Raises ValueError unless
-    0 <= i < j < n_bands.
-    """
-    if not (0 <= i < j < n_bands):
-        raise ValueError(f"invalid pair ({i}, {j}) for {n_bands} bands")
-    return i * (2 * n_bands - i - 1) // 2 + (j - i - 1)
 
 
 class PairIndexer:
@@ -133,42 +118,18 @@ class NdParams:
 
 @dataclass
 class NdCache:
-    """Forward quantities needed by the nonnegative backward pass."""
+    """Forward quantities needed by every backward variant."""
 
     sigma_alpha: np.ndarray  # (n_pairs,)
     sigma_beta: np.ndarray  # (n_pairs,)
     b_i: np.ndarray  # (batch, n_pairs)
     b_j: np.ndarray  # (batch, n_pairs)
+    m_i: np.ndarray  # m(b_i); the very array b_i when m is the identity
+    m_j: np.ndarray  # m(b_j)
     denom: np.ndarray  # (batch, n_pairs)
     indexer: PairIndexer
-    eps: float
     single: bool  # True when forward saw a 1-d input
-
-
-@dataclass
-class NdSignedCache:
-    """Forward quantities for the smooth-absolute-value backward pass."""
-
-    sigma_alpha: np.ndarray
-    sigma_beta: np.ndarray
-    b_i: np.ndarray
-    b_j: np.ndarray
-    smooth_i: np.ndarray  # sqrt(b_i^2 + eps)
-    smooth_j: np.ndarray
-    numer: np.ndarray
-    denom: np.ndarray
-    indexer: PairIndexer
-    eps: float
-    single: bool
-
-
-@dataclass
-class NdSoftplusCache:
-    """Wraps the nonnegative cache on softplus(inputs) plus the raw inputs."""
-
-    inner: NdCache
-    raw: np.ndarray  # (batch, n_bands), pre-softplus
-    single: bool
+    raw: np.ndarray | None = None  # pre-softplus inputs, softplus variant only
 
 
 @dataclass
@@ -206,19 +167,86 @@ def _as_batch(x, name="input"):
     raise ValueError(f"{name} must be 1-d or 2-d, got shape {a.shape}")
 
 
-def _check_params(params: NdParams, indexer: PairIndexer):
-    if params.n_pairs != indexer.n_pairs:
-        raise ValueError(
-            f"params carry {params.n_pairs} pairs but input implies "
-            f"{indexer.n_pairs}"
-        )
-
-
 def _check_eps(eps: float) -> float:
     eps = float(eps)
     if not (eps > 0 and np.isfinite(eps)):
         raise ValueError(f"eps must be a positive finite real, got {eps}")
     return eps
+
+
+def _forward(bands, params: NdParams, eps, indexer, signed: bool):
+    """The quotient over all pairs, with m(b) = sqrt(b^2+eps) when signed."""
+    eps = _check_eps(eps)
+    batch, single = _as_batch(bands, "bands")
+    if np.isnan(batch).any():
+        raise ValueError("bands contain NaN")
+    if not signed and (batch < 0).any():
+        raise ValueError(
+            "nd_forward requires nonnegative inputs; use the signed variant "
+            "for data that may be negative"
+        )
+    idx = indexer if indexer is not None else PairIndexer(batch.shape[1])
+    if params.n_pairs != idx.n_pairs:
+        raise ValueError(
+            f"params carry {params.n_pairs} pairs but input implies "
+            f"{idx.n_pairs}"
+        )
+
+    sa = softplus(params.alpha)
+    sb = softplus(params.beta)
+    b_i = batch[:, idx.i_idx]
+    b_j = batch[:, idx.j_idx]
+    if signed:
+        m_i = np.sqrt(b_i ** 2 + eps)
+        m_j = np.sqrt(b_j ** 2 + eps)
+    else:
+        m_i, m_j = b_i, b_j
+    denom = sa * m_i + sb * m_j + eps
+    out = (sa * b_i - sb * b_j) / denom
+    cache = NdCache(sa, sb, b_i, b_j, m_i, m_j, denom, idx, single)
+    return (out[0] if single else out), cache
+
+
+def _backward(cache: NdCache, upstream, params: NdParams, eps,
+              signed: bool) -> NdGradients:
+    """Quotient-rule gradients of ``_forward``, with the same ``signed``."""
+    eps = _check_eps(eps)
+    delta = np.asarray(upstream, dtype=np.float64)
+    if cache.single:
+        delta = delta[None, :]
+    if delta.shape != cache.denom.shape:
+        raise ValueError(
+            f"upstream shape {delta.shape} does not match cached forward "
+            f"shape {cache.denom.shape}"
+        )
+
+    sa, sb = cache.sigma_alpha, cache.sigma_beta
+    b_i, b_j = cache.b_i, cache.b_j
+    B = cache.denom
+    denom_sq = B ** 2
+    # w_i = (dN/db_i) / sa and w_j = -(dN/db_j) / sb; u_i = dN/dsa and
+    # u_j = -dN/dsb.
+    if signed:
+        A = sa * b_i - sb * b_j
+        w_i = (B - A * b_i / cache.m_i) / denom_sq
+        w_j = (B + A * b_j / cache.m_j) / denom_sq
+        u_i = (b_i * B - A * cache.m_i) / denom_sq
+        u_j = (b_j * B + A * cache.m_j) / denom_sq
+    else:
+        w_i = (2.0 * sb * b_j + eps) / denom_sq
+        w_j = (2.0 * sa * b_i + eps) / denom_sq
+        u_i = b_i * w_i
+        u_j = b_j * w_j
+
+    d_alpha = (delta * sigmoid(params.alpha) * u_i).sum(axis=0)
+    d_beta = -(delta * sigmoid(params.beta) * u_j).sum(axis=0)
+    # Each band accumulates the contributions of its pairs, in pair order.
+    idx = cache.indexer
+    acc = np.zeros((idx.n_bands, B.shape[0]))
+    np.add.at(acc, idx.i_idx, (delta * sa * w_i).T)
+    np.add.at(acc, idx.j_idx, (-delta * sb * w_j).T)
+    d_input = acc[:, 0] if cache.single else acc.T
+    return NdGradients(d_alpha, d_beta, d_input)
 
 
 def nd_forward(bands, params: NdParams, eps: float = DEFAULT_EPS,
@@ -229,27 +257,7 @@ def nd_forward(bands, params: NdParams, eps: float = DEFAULT_EPS,
     pair in lexicographic order. Rejects NaN and negative inputs; use
     ``nd_forward_signed`` or ``nd_forward_softplus`` for signed data.
     """
-    eps = _check_eps(eps)
-    batch, single = _as_batch(bands, "bands")
-    if np.isnan(batch).any():
-        raise ValueError("bands contain NaN")
-    if (batch < 0).any():
-        raise ValueError(
-            "nd_forward requires nonnegative inputs; use the signed variant "
-            "for data that may be negative"
-        )
-    idx = indexer if indexer is not None else PairIndexer(batch.shape[1])
-    _check_params(params, idx)
-
-    sa = softplus(params.alpha)
-    sb = softplus(params.beta)
-    b_i = batch[:, idx.i_idx]
-    b_j = batch[:, idx.j_idx]
-    numer = sa * b_i - sb * b_j
-    denom = sa * b_i + sb * b_j + eps
-    out = numer / denom
-    cache = NdCache(sa, sb, b_i, b_j, denom, idx, eps, single)
-    return (out[0] if single else out), cache
+    return _forward(bands, params, eps, indexer, signed=False)
 
 
 def nd_backward(cache: NdCache, upstream, params: NdParams,
@@ -261,40 +269,7 @@ def nd_backward(cache: NdCache, upstream, params: NdParams,
     input gradient accumulates the contributions of all n-1 pairs that
     contain it.
     """
-    eps = _check_eps(eps)
-    idx = cache.indexer
-    delta = np.asarray(upstream, dtype=np.float64)
-    if cache.single:
-        delta = delta[None, :]
-    if delta.shape != cache.denom.shape:
-        raise ValueError(
-            f"upstream shape {delta.shape} does not match cached forward "
-            f"shape {cache.denom.shape}"
-        )
-
-    s_alpha = sigmoid(params.alpha)
-    s_beta = sigmoid(params.beta)
-    denom_sq = cache.denom ** 2
-    w_i = (2.0 * cache.sigma_beta * cache.b_j + eps) / denom_sq
-    w_j = (2.0 * cache.sigma_alpha * cache.b_i + eps) / denom_sq
-
-    d_alpha = (delta * s_alpha * cache.b_i * w_i).sum(axis=0)
-    d_beta = -(delta * s_beta * cache.b_j * w_j).sum(axis=0)
-
-    g_i = delta * cache.sigma_alpha * w_i
-    g_j = -delta * cache.sigma_beta * w_j
-    d_input = _scatter_pairs(g_i, g_j, idx, cache.denom.shape[0])
-    if cache.single:
-        d_input = d_input[0]
-    return NdGradients(d_alpha, d_beta, d_input)
-
-
-def _scatter_pairs(g_i, g_j, idx: PairIndexer, batch_size: int) -> np.ndarray:
-    """Accumulate per-pair contributions into per-band gradients, pair order."""
-    acc = np.zeros((idx.n_bands, batch_size))
-    np.add.at(acc, idx.i_idx, g_i.T)
-    np.add.at(acc, idx.j_idx, g_j.T)
-    return acc.T
+    return _backward(cache, upstream, params, eps, signed=False)
 
 
 def nd_forward_signed(bands, params: NdParams, eps: float = DEFAULT_EPS,
@@ -305,62 +280,13 @@ def nd_forward_signed(bands, params: NdParams, eps: float = DEFAULT_EPS,
     The denominator is strictly positive and dominates |numerator|, so
     outputs stay in [-1, 1] for inputs of any sign.
     """
-    eps = _check_eps(eps)
-    batch, single = _as_batch(bands, "bands")
-    if np.isnan(batch).any():
-        raise ValueError("bands contain NaN")
-    idx = indexer if indexer is not None else PairIndexer(batch.shape[1])
-    _check_params(params, idx)
-
-    sa = softplus(params.alpha)
-    sb = softplus(params.beta)
-    b_i = batch[:, idx.i_idx]
-    b_j = batch[:, idx.j_idx]
-    smooth_i = np.sqrt(b_i ** 2 + eps)
-    smooth_j = np.sqrt(b_j ** 2 + eps)
-    numer = sa * b_i - sb * b_j
-    denom = sa * smooth_i + sb * smooth_j + eps
-    out = numer / denom
-    cache = NdSignedCache(sa, sb, b_i, b_j, smooth_i, smooth_j, numer, denom,
-                          idx, eps, single)
-    return (out[0] if single else out), cache
+    return _forward(bands, params, eps, indexer, signed=True)
 
 
-def nd_backward_signed(cache: NdSignedCache, upstream, params: NdParams,
+def nd_backward_signed(cache: NdCache, upstream, params: NdParams,
                        eps: float = DEFAULT_EPS) -> NdGradients:
-    """Backward pass matching ``nd_forward_signed``.
-
-    Quotient rule with d/db sqrt(b^2+eps) = b / sqrt(b^2+eps); the tidy
-    difference identities of the nonnegative case no longer apply, so the
-    raw form (B*dA - A*dB) / B^2 is used for each partial.
-    """
-    eps = _check_eps(eps)
-    idx = cache.indexer
-    delta = np.asarray(upstream, dtype=np.float64)
-    if cache.single:
-        delta = delta[None, :]
-    if delta.shape != cache.denom.shape:
-        raise ValueError(
-            f"upstream shape {delta.shape} does not match cached forward "
-            f"shape {cache.denom.shape}"
-        )
-
-    s_alpha = sigmoid(params.alpha)
-    s_beta = sigmoid(params.beta)
-    A, B = cache.numer, cache.denom
-    denom_sq = B ** 2
-
-    d_alpha = (delta * s_alpha * (cache.b_i * B - A * cache.smooth_i)
-               / denom_sq).sum(axis=0)
-    d_beta = (delta * s_beta * (-cache.b_j * B - A * cache.smooth_j)
-              / denom_sq).sum(axis=0)
-
-    g_i = delta * cache.sigma_alpha * (B - A * cache.b_i / cache.smooth_i) / denom_sq
-    g_j = -delta * cache.sigma_beta * (B + A * cache.b_j / cache.smooth_j) / denom_sq
-    d_input = _scatter_pairs(g_i, g_j, idx, B.shape[0])
-    if cache.single:
-        d_input = d_input[0]
-    return NdGradients(d_alpha, d_beta, d_input)
+    """Backward pass matching ``nd_forward_signed``."""
+    return _backward(cache, upstream, params, eps, signed=True)
 
 
 def nd_forward_softplus(bands, params: NdParams, eps: float = DEFAULT_EPS,
@@ -371,30 +297,24 @@ def nd_forward_softplus(bands, params: NdParams, eps: float = DEFAULT_EPS,
     nonnegative formulation applies unchanged to them; outputs are in
     (-1, 1). Nonlinear in the inputs, unlike the smooth-|b| variant.
     """
-    batch, single = _as_batch(bands, "bands")
-    if np.isnan(batch).any():
-        raise ValueError("bands contain NaN")
-    transformed = softplus(batch)
-    out, inner = nd_forward(transformed, params, eps, indexer)
-    cache = NdSoftplusCache(inner=inner, raw=batch, single=single)
-    return (out[0] if single else out), cache
+    raw = np.asarray(bands, dtype=np.float64)
+    out, cache = _forward(softplus(raw), params, eps, indexer, signed=False)
+    cache.raw = raw
+    return out, cache
 
 
-def nd_backward_softplus(cache: NdSoftplusCache, upstream, params: NdParams,
+def nd_backward_softplus(cache: NdCache, upstream, params: NdParams,
                          eps: float = DEFAULT_EPS) -> NdGradients:
     """Backward pass matching ``nd_forward_softplus``.
 
     Chains the nonnegative backward (on the transformed inputs) with the
     softplus derivative: d softplus(b)/db = sigmoid(b).
     """
-    delta = np.asarray(upstream, dtype=np.float64)
-    if cache.single and delta.ndim == 1:
-        delta = delta[None, :]  # inner cache is always batch-shaped
-    grads = nd_backward(cache.inner, delta, params, eps)
-    d_raw = grads.d_input * sigmoid(cache.raw)
-    if cache.single:
-        d_raw = d_raw[0]
-    return NdGradients(grads.d_alpha, grads.d_beta, d_raw)
+    if cache.raw is None:
+        raise ValueError("cache does not come from nd_forward_softplus")
+    grads = _backward(cache, upstream, params, eps, signed=False)
+    grads.d_input = grads.d_input * sigmoid(cache.raw)
+    return grads
 
 
 def attention_gate(bands, weights, bias, nd_outputs):

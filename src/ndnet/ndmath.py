@@ -1,4 +1,4 @@
-"""Numerically stable elementary functions and small dense linear algebra.
+"""Numerically stable elementary functions.
 
 Everything here is 64-bit float arithmetic. Functions accept scalars or
 numpy arrays and broadcast elementwise; outputs are guaranteed finite for
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["softplus", "sigmoid", "matvec"]
+__all__ = ["softplus", "sigmoid"]
 
 
 def softplus(x):
@@ -34,23 +34,3 @@ def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     t = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-
-
-def matvec(matrix, vector):
-    """Dense matrix-vector product for the small systems used here.
-
-    Shapes are validated eagerly: a (rows, cols) matrix requires a length-cols
-    vector. Raises ValueError on mismatch instead of broadcasting surprises.
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    v = np.asarray(vector, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"matvec expects a 2-d matrix, got shape {m.shape}")
-    if v.ndim != 1:
-        raise ValueError(f"matvec expects a 1-d vector, got shape {v.shape}")
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(
-            f"matvec dimension mismatch: matrix is {m.shape[0]}x{m.shape[1]}, "
-            f"vector has length {v.shape[0]}"
-        )
-    return m @ v

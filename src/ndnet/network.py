@@ -26,6 +26,7 @@ from .ndlayer import (
     DEFAULT_EPS,
     NdParams,
     PairIndexer,
+    _as_batch,
     attention_gate,
     attention_gate_backward,
     nd_backward,
@@ -130,15 +131,6 @@ def dense_backward(layer: DenseLayer, cache: DenseCache, upstream):
     if cache.single:
         d_input = d_input[0]
     return d_weights, d_bias, d_input
-
-
-def _as_batch(x):
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 1:
-        return a[None, :], True
-    if a.ndim == 2:
-        return a, False
-    raise ValueError(f"expected 1-d or 2-d input, got shape {a.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +250,8 @@ class Model:
             raise ValueError(f"unknown architecture {self.arch!r}")
         if len(self.band_names) != self.n_bands:
             raise ValueError("band_names length must equal n_bands")
+        if not (self.eps > 0 and np.isfinite(self.eps)):
+            raise ValueError(f"eps must be a positive finite real, got {self.eps}")
         self.indexer = PairIndexer(self.n_bands)
 
     def parameters(self) -> list:
@@ -304,9 +298,10 @@ class Model:
         own = self.parameters()
         if len(own) != len(values):
             raise ValueError("parameter list length mismatch")
-        for dst, src in zip(own, values):
+        for name, dst, src in zip(self.parameter_names(), own, values):
             if dst.shape != src.shape:
-                raise ValueError("parameter shape mismatch")
+                raise ValueError(f"parameter {name} has shape {src.shape}, "
+                                 f"expected {dst.shape}")
             dst[...] = src
 
 
@@ -376,7 +371,7 @@ def count_params(model: Model) -> int:
 
 @dataclass
 class ModelCache:
-    first: object  # NdCache/NdSignedCache for nd archs, else None
+    first: object  # NdCache for nd archs, else None
     gate: object  # AttentionCache for attnd, else None
     dense: list  # DenseCache per dense layer
     signed: bool
@@ -390,7 +385,7 @@ def model_forward(model: Model, bands, signed: bool = False):
     smooth-absolute-value forward so inputs may be negative (used when
     evaluating noise-perturbed data); the plain forward rejects negatives.
     """
-    batch, single = _as_batch(bands)
+    batch, single = _as_batch(bands, "bands")
     if batch.shape[1] != model.n_bands:
         raise ValueError(
             f"model expects {model.n_bands} bands, got {batch.shape[1]}"
@@ -571,15 +566,47 @@ def save_checkpoint(model: Model, path, meta: dict | None = None):
 
 
 def model_from_checkpoint_dict(doc: dict) -> Model:
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    """Rebuild a model from a checkpoint document.
+
+    Raises ValueError for a document of another format or version, missing
+    fields, parameter names or shapes that do not match the declared
+    architecture, non-finite values, or activations the architecture does
+    not have.
+    """
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not an ndnet checkpoint document")
-    band_names = list(doc["band_names"])
-    model = build_model(doc["arch"], int(doc["depth"]), len(band_names),
-                        seed=0, eps=float(doc["eps"]), band_names=band_names)
-    params = doc["params"]
-    values = [np.asarray(params[name], dtype=np.float64)
-              for name in model.parameter_names()]
-    model.set_parameters(values)
+    if doc.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}; "
+                         f"expected {CHECKPOINT_VERSION}")
+    fields = ("arch", "depth", "band_names", "eps", "params", "activations")
+    missing = [key for key in fields if key not in doc]
+    if missing:
+        raise ValueError(f"checkpoint lacks fields {missing}")
+    band_names, params = doc["band_names"], doc["params"]
+    if not (isinstance(band_names, list) and isinstance(params, dict)
+            and isinstance(doc["eps"], (int, float))):
+        raise ValueError("checkpoint band_names, params or eps malformed")
+    model = build_model(doc["arch"], doc["depth"], len(band_names), seed=0,
+                        eps=doc["eps"], band_names=band_names)
+    names = model.parameter_names()
+    if set(params) != set(names):
+        raise ValueError(
+            f"checkpoint parameters do not match {model.arch} depth "
+            f"{model.depth}: missing {sorted(set(names) - set(params))}, "
+            f"unexpected {sorted(set(params) - set(names))}")
+    values = []
+    for name in names:
+        try:
+            values.append(np.asarray(params[name], dtype=np.float64))
+        except (TypeError, ValueError):
+            raise ValueError(f"checkpoint parameter {name} is not numeric") from None
+        if not np.isfinite(values[-1]).all():
+            raise ValueError(f"checkpoint parameter {name} is not finite")
+    activations = [layer.activation for layer in model.layers]
+    if doc["activations"] != activations:
+        raise ValueError(f"checkpoint activations {doc['activations']!r} do not "
+                         f"match {model.arch} depth {model.depth}: {activations}")
+    model.set_parameters(values)  # raises on a shape mismatch
     return model
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from ndnet.cli import main
 from ndnet.data import SynthSpec, load_csv, save_csv, synth_generate
-from ndnet.network import build_model, save_checkpoint
+from ndnet.network import build_model, checkpoint_to_json, save_checkpoint
 
 
 def spec_file(tmp_path, n_samples=100, seed=3):
@@ -279,6 +279,50 @@ class TestCoeffsCommand:
                                                 "top_pairs.csv"))
             tops.append(top)
         assert tops[0] == tops[1]
+
+
+def _drop_beta(doc):
+    del doc["params"]["nd.beta"]
+
+
+def _extra_param(doc):
+    doc["params"]["nd.gamma"] = [0.0]
+
+
+def _reshape_alpha(doc):
+    doc["params"]["nd.alpha"] = doc["params"]["nd.alpha"][:-1]
+
+
+def _nan_alpha(doc):
+    doc["params"]["nd.alpha"][0] = float("nan")
+
+
+def _version_99(doc):
+    doc["version"] = 99
+
+
+def _bogus_activations(doc):
+    doc["activations"] = ["bogus"]
+
+
+def _wrong_format(doc):
+    doc["format"] = "something-else"
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("corrupt", [
+        _drop_beta, _extra_param, _reshape_alpha, _nan_alpha, _version_99,
+        _bogus_activations, _wrong_format])
+    def test_malformed_checkpoint_is_one_error_line(self, corrupt, tmp_path,
+                                                    capsys):
+        doc = json.loads(checkpoint_to_json(build_model("nd", 2, 10, seed=0)))
+        corrupt(doc)
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(json.dumps(doc))
+        rc = main(["coeffs", str(ckpt), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ValueError: "), err
 
 
 class TestParallelFolds:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ndnet import network
 from ndnet.data import Dataset, SplitSpec, SynthSpec, synth_generate
 from ndnet.evaluation import (
     accuracy,
@@ -108,6 +109,37 @@ class TestAccuracy:
         X[0, 0] = -0.05
         ds = Dataset(["b0", "b1", "b2"], X, rng.integers(0, 2, 20))
         assert 0.0 <= accuracy(model, ds) <= 1.0
+
+    def test_negative_row_does_not_move_other_rows(self):
+        # One pair, logit = N + 0.75. On (0, 1e-4) the plain forward gives
+        # N ~ -1 (class 0, right); the signed one replaces m(0) = 0 by
+        # sqrt(eps) and gives N ~ -0.41 (class 1, wrong). The negative row
+        # is class 0 under the signed forward.
+        head = DenseLayer(np.array([[1.0]]), np.array([0.75]), "identity")
+        model = Model(arch="nd", depth=2, n_bands=2, band_names=["a", "b"],
+                      eps=1e-8, nd_params=NdParams.zeros(1), attn_weights=None,
+                      attn_bias=None, layers=[head])
+        near_zero = Dataset(["a", "b"], np.array([[0.0, 1e-4]]), np.array([0]))
+        assert accuracy(model, near_zero) == 1.0
+        mixed = Dataset(["a", "b"], np.array([[0.0, 1e-4], [-0.5, 0.5]]),
+                        np.array([0, 0]))
+        assert accuracy(model, mixed) == 1.0
+
+    def test_negative_row_leaves_other_logits(self, rng, monkeypatch):
+        model = build_model("attnd", 3, 5, seed=2)
+        for p in model.parameters():
+            p += rng.uniform(-0.5, 0.5, p.shape)
+        X = rng.uniform(0.0, 0.02, size=(60, 5))
+        X[rng.random(X.shape) < 0.2] = 0.0
+        X[17, 3] = -0.01
+        y = rng.integers(0, 2, size=60)
+        rest = np.arange(60) != 17
+        seen = []
+        monkeypatch.setattr(network, "accuracy_from_logits",
+                            lambda logits, labels: seen.append(logits) or 0.0)
+        accuracy(model, Dataset(model.band_names, X, y))
+        accuracy(model, Dataset(model.band_names, X[rest], y[rest]))
+        np.testing.assert_allclose(seen[0][rest], seen[1], rtol=0, atol=1e-12)
 
 
 class TestEfficiency:

@@ -16,7 +16,6 @@ from ndnet.ndlayer import (
     nd_forward_signed,
     nd_forward_softplus,
     pair_count,
-    pair_index,
 )
 from ndnet.ndmath import sigmoid, softplus
 
@@ -58,32 +57,9 @@ def fd_gradients(forward, bands, params, eps, delta, h=1e-6):
 
 
 class TestPairIndexing:
-    def test_first_pair(self):
-        assert pair_index(0, 1, 10) == 0
-
-    @pytest.mark.parametrize("n", range(2, 16))
-    def test_matches_enumeration_oracle(self, n):
-        pairs = enumerate_pairs(n)
-        for rank, (i, j) in enumerate(pairs):
-            assert pair_index(i, j, n) == rank
-        # spot values derived from the oracle above
-        if n == 10:
-            assert pair_index(0, 9, 10) == pairs.index((0, 9)) == 8
-            assert pair_index(8, 9, 10) == pairs.index((8, 9)) == 44
-
     @pytest.mark.parametrize("n", range(2, 16))
     def test_pair_count_formula(self, n):
         assert pair_count(n) == len(enumerate_pairs(n)) == n * (n - 1) // 2
-
-    def test_bijective_onto_range(self):
-        for n in (2, 5, 11):
-            ranks = {pair_index(i, j, n) for i, j in enumerate_pairs(n)}
-            assert ranks == set(range(pair_count(n)))
-
-    @pytest.mark.parametrize("i,j,n", [(1, 1, 5), (3, 2, 5), (0, 5, 5), (-1, 2, 5)])
-    def test_invalid_pairs_raise(self, i, j, n):
-        with pytest.raises(ValueError):
-            pair_index(i, j, n)
 
     def test_indexer_orders_lexicographically(self):
         idx = PairIndexer(5)
@@ -367,6 +343,12 @@ class TestSoftplusVariant:
         params = NdParams(np.array([0.7]), np.array([0.7]))
         out, _ = nd_forward_softplus([0.0, 0.0], params, eps=1e-12)
         assert abs(out[0]) < 1e-12
+
+    def test_backward_rejects_a_cache_without_raw_inputs(self):
+        params = NdParams.zeros(1)
+        _, cache = nd_forward([0.5, 0.1], params)
+        with pytest.raises(ValueError, match="nd_forward_softplus"):
+            nd_backward_softplus(cache, np.ones(1), params)
 
     def test_hand_evaluated_opposite_inputs(self):
         # direct evaluation with transformed inputs softplus(+-3)

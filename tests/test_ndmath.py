@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ndnet.ndmath import matvec, sigmoid, softplus
+from ndnet.ndmath import sigmoid, softplus
 
 from conftest import central_diff
 
@@ -72,33 +72,3 @@ class TestSigmoid:
         out = sigmoid(np.array([-1e308, 0.0, 1e308]))
         assert np.isfinite(out).all()
         assert (out >= 0).all() and (out <= 1).all()
-
-
-class TestMatvec:
-    def test_identity(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(matvec(np.eye(3), v), v)
-
-    def test_zero_matrix_annihilates(self, rng):
-        v = rng.normal(size=4)
-        assert np.array_equal(matvec(np.zeros((3, 4)), v), np.zeros(3))
-
-    def test_hand_evaluated_product(self):
-        # [[1,2],[3,4]] @ (1,1): row sums 1+2=3 and 3+4=7
-        out = matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0])
-        assert np.array_equal(out, [3.0, 7.0])
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matvec(np.ones((2, 3)), np.ones(2))
-        with pytest.raises(ValueError):
-            matvec(np.ones(3), np.ones(3))
-
-    def test_linearity(self, rng):
-        for _ in range(20):
-            m = rng.normal(size=(4, 5))
-            u, v = rng.normal(size=5), rng.normal(size=5)
-            a, b = rng.normal(), rng.normal()
-            lhs = matvec(m, a * u + b * v)
-            rhs = a * matvec(m, u) + b * matvec(m, v)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndnet.data import Dataset
 from ndnet.network import (
@@ -20,6 +21,7 @@ from ndnet.network import (
     init_adam,
     load_checkpoint,
     model_backward,
+    model_from_checkpoint_dict,
     model_forward,
     predict_labels,
     save_checkpoint,
@@ -451,6 +453,26 @@ class TestCheckpoints:
         path = tmp_path / "m.json"
         save_checkpoint(model, path, meta={"fold": 3, "split_seed": 1})
         assert load_checkpoint_meta(path) == {"fold": 3, "split_seed": 1}
+
+    @settings(max_examples=40, deadline=None)
+    @given(arch=st.sampled_from(["nd", "mlp", "attnd"]),
+           depth=st.sampled_from([2, 3, 4]), n_bands=st.integers(2, 12),
+           seed=st.integers(0, 2 ** 32 - 1),
+           specials=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=1, max_size=8))
+    def test_round_trip_property(self, arch, depth, n_bands, seed, specials):
+        model = build_model(arch, depth, n_bands, seed=seed)
+        rng = np.random.default_rng(seed)
+        for p in model.parameters():
+            p[...] = rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-300, 300, p.shape)
+            p.flat[rng.integers(p.size, size=len(specials))] = specials
+        loaded = model_from_checkpoint_dict(json.loads(checkpoint_to_json(model)))
+        for a, b in zip(model.parameters(), loaded.parameters()):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        X = rng.uniform(0.0, 1.0, size=(5, n_bands))
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(model_forward(loaded, X)[0],
+                                          model_forward(model, X)[0])
 
     def test_non_checkpoint_document_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"
