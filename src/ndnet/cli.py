@@ -9,7 +9,8 @@ version): identical flags reproduce identical file contents.
 Exit status: 0 on success, 1 when the command's contract fails (bad data,
 failed tolerance, missing checkpoint), 2 for usage errors. Failures print
 one line ``error: <category>: <message>`` on stderr. ND_THREADS caps the
-number of worker processes used for cross-validation folds (default 1).
+number of worker processes used for cross-validation folds (default 1;
+an integer of at least 1, further capped by the fold and CPU counts).
 """
 
 from __future__ import annotations
@@ -30,11 +31,18 @@ from . import evaluation as ev
 from . import network as net
 
 
+class UsageError(Exception):
+    """A malformed setting outside the argument list (exit status 2)."""
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except UsageError as exc:
+        print(f"error: usage: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, data_mod.DataFormatError) as exc:
         category = type(exc).__name__
         print(f"error: {category}: {exc}", file=sys.stderr)
@@ -219,26 +227,38 @@ def _fold_star(packed):
     return ev.crossval_fold(*packed)
 
 
-def _fold_runner():
-    threads = int(os.environ.get("ND_THREADS", "1"))
-    if threads <= 1:
+def _fold_runner(n_folds: int):
+    """A parallel map over folds when ND_THREADS asks for it, else None.
+
+    Workers are capped at the fold count and at the CPU count.
+    """
+    text = os.environ.get("ND_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"ND_THREADS must be an integer >= 1, got {text!r}")
+    workers = min(threads, n_folds, os.cpu_count() or 1)
+    if workers <= 1:
         return None
 
     def runner(argslist):
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_fold_star, argslist))
 
     return runner
 
 
 def cmd_crossval(args) -> int:
+    fold_runner = _fold_runner(args.folds)
     dataset = _load_dataset(args)
     config = net.TrainConfig(learning_rate=args.lr, weight_decay=args.wd,
                              batch_size=args.batch, max_epochs=args.epochs,
                              patience=args.patience, seed=args.seed,
                              eps=args.eps)
     result = ev.run_crossval(args.arch, args.depth, dataset, config,
-                             n_folds=args.folds, fold_runner=_fold_runner())
+                             n_folds=args.folds, fold_runner=fold_runner)
     report = result.report
 
     run_dir = _run_dir(args)
@@ -293,8 +313,10 @@ def cmd_noise(args) -> int:
     for path in args.checkpoints:
         if not os.path.exists(path):
             raise ValueError(f"missing checkpoint {path}")
-        model = net.load_checkpoint(path)
-        ckpt_meta = net.load_checkpoint_meta(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        model = net.model_from_checkpoint_dict(doc)
+        ckpt_meta = doc.get("meta", {})
         if {"fold", "split_seed", "n_folds"} <= ckpt_meta.keys():
             split = data_mod.SplitSpec(n_folds=int(ckpt_meta["n_folds"]),
                                        seed=int(ckpt_meta["split_seed"]))

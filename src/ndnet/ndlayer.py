@@ -30,10 +30,17 @@ d softplus(b)/db = sigmoid(b).
 All forwards accept a single channel vector of shape (n,) or a batch of
 shape (batch, n). Parameter gradients are summed over the batch axis;
 input gradients keep the input's shape.
+
+Each band's input gradient sums the terms of the n-1 pairs that contain
+it. The backward pass gathers them with two matrix products against the
+one-hot incidence matrices of ``PairIndexer`` (pair p has a 1 in column
+i_p of ``inc_i`` and in column j_p of ``inc_j``), not with a scatter-add;
+the sums are the same up to rounding order (a few ulps).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +77,12 @@ def pair_count(n_bands: int) -> int:
 
 
 class PairIndexer:
-    """Fixed lexicographic enumeration of all (i, j) channel pairs, i < j."""
+    """Fixed lexicographic enumeration of all (i, j) channel pairs, i < j.
+
+    ``inc_i`` and ``inc_j`` are the (n_pairs, n_bands) one-hot incidence
+    matrices of the first and second band of each pair. All arrays are
+    read-only, so one indexer can serve every model with its band count.
+    """
 
     def __init__(self, n_bands: int):
         self.n_bands = int(n_bands)
@@ -80,9 +92,20 @@ class PairIndexer:
         ]
         self.i_idx = np.array([p[0] for p in self.pairs], dtype=np.intp)
         self.j_idx = np.array([p[1] for p in self.pairs], dtype=np.intp)
+        eye = np.eye(self.n_bands)
+        self.inc_i = eye[self.i_idx]
+        self.inc_j = eye[self.j_idx]
+        for array in (self.i_idx, self.j_idx, self.inc_i, self.inc_j):
+            array.flags.writeable = False
 
     def __repr__(self) -> str:
         return f"PairIndexer(n_bands={self.n_bands}, n_pairs={self.n_pairs})"
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_indexer(n_bands: int) -> PairIndexer:
+    """The shared indexer for ``n_bands`` bands."""
+    return PairIndexer(n_bands)
 
 
 @dataclass
@@ -185,7 +208,7 @@ def _forward(bands, params: NdParams, eps, indexer, signed: bool):
             "nd_forward requires nonnegative inputs; use the signed variant "
             "for data that may be negative"
         )
-    idx = indexer if indexer is not None else PairIndexer(batch.shape[1])
+    idx = indexer if indexer is not None else _pair_indexer(batch.shape[1])
     if params.n_pairs != idx.n_pairs:
         raise ValueError(
             f"params carry {params.n_pairs} pairs but input implies "
@@ -240,12 +263,10 @@ def _backward(cache: NdCache, upstream, params: NdParams, eps,
 
     d_alpha = (delta * sigmoid(params.alpha) * u_i).sum(axis=0)
     d_beta = -(delta * sigmoid(params.beta) * u_j).sum(axis=0)
-    # Each band accumulates the contributions of its pairs, in pair order.
     idx = cache.indexer
-    acc = np.zeros((idx.n_bands, B.shape[0]))
-    np.add.at(acc, idx.i_idx, (delta * sa * w_i).T)
-    np.add.at(acc, idx.j_idx, (-delta * sb * w_j).T)
-    d_input = acc[:, 0] if cache.single else acc.T
+    d_input = (delta * sa * w_i) @ idx.inc_i - (delta * sb * w_j) @ idx.inc_j
+    if cache.single:
+        d_input = d_input[0]
     return NdGradients(d_alpha, d_beta, d_input)
 
 

@@ -10,15 +10,20 @@ Depth counts every layer including input and output: depth 2 is
 input -> first transform -> 1-logit head, each extra depth inserts one
 ReLU dense hidden layer of the pair-count width.
 
-All training state is explicit: parameters are a flat list of numpy
-arrays in a documented order, Adam keeps per-array moments, and the
-training loop is deterministic given TrainConfig.seed.
+All training state is explicit. A model keeps every learnable scalar
+in one contiguous float64 vector, ``Model.vector``; the arrays that
+``Model.parameters()`` lists (in a documented, checkpoint order) are
+views of it. So one training step is one Adam update on that vector,
+with one pair of moment vectors, and the best-epoch snapshot and its
+restore are one copy each. The training loop is deterministic given
+TrainConfig.seed.
 """
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .ndlayer import (
     NdParams,
     PairIndexer,
     _as_batch,
+    _pair_indexer,
     attention_gate,
     attention_gate_backward,
     nd_backward,
@@ -202,7 +208,9 @@ def init_adam(params) -> AdamState:
 def adam_step(params, grads, state: AdamState, config: TrainConfig):
     """One Adam update, in place on ``params``.
 
-    With ``decoupled_weight_decay=False`` the decay enters the gradient
+    ``params`` and ``grads`` are matching lists of arrays; ``train`` passes
+    one array, the model's parameter vector. With
+    ``decoupled_weight_decay=False`` the decay enters the gradient
     (grad + wd*param) before the moment updates; with True it is applied
     as a separate -lr*wd*param term outside the adaptive scaling.
     """
@@ -244,6 +252,7 @@ class Model:
     attn_bias: np.ndarray | None
     layers: list  # DenseLayer hidden stack, ending with the 1-logit head
     indexer: PairIndexer = field(init=False, repr=False)
+    vector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.arch not in ARCHITECTURES:
@@ -252,7 +261,24 @@ class Model:
             raise ValueError("band_names length must equal n_bands")
         if not (self.eps > 0 and np.isfinite(self.eps)):
             raise ValueError(f"eps must be a positive finite real, got {self.eps}")
-        self.indexer = PairIndexer(self.n_bands)
+        self.indexer = _pair_indexer(self.n_bands)
+        params = [np.asarray(p, dtype=np.float64) for p in self.parameters()]
+        self.vector = np.concatenate([p.ravel() for p in params])
+        # Rebind every learnable array as a view of its slice of the vector,
+        # on new holders, so the NdParams and layers passed in stay untouched.
+        parts = np.split(self.vector, np.cumsum([p.size for p in params])[:-1])
+        views = iter([part.reshape(p.shape) for part, p in zip(parts, params)])
+        if self.nd_params is not None:
+            self.nd_params = NdParams(next(views), next(views))
+        if self.attn_weights is not None:
+            self.attn_weights, self.attn_bias = next(views), next(views)
+        self.layers = [DenseLayer(next(views), next(views), layer.activation)
+                       for layer in self.layers]
+
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild through __init__, so the copy's arrays
+        # are views of its own vector (a copied view would be detached).
+        return Model, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def parameters(self) -> list:
         """Learnable arrays in declared order (checkpoint order).
@@ -260,6 +286,8 @@ class Model:
         nd:    alpha, beta, then per dense layer weights, bias
         attnd: alpha, beta, attention weights, attention bias, then dense
         mlp:   per dense layer weights, bias
+
+        Each array is a view of ``vector``, which holds them in this order.
         """
         out = []
         if self.nd_params is not None:
@@ -281,17 +309,7 @@ class Model:
         return names
 
     def copy(self) -> "Model":
-        return Model(
-            arch=self.arch,
-            depth=self.depth,
-            n_bands=self.n_bands,
-            band_names=list(self.band_names),
-            eps=self.eps,
-            nd_params=self.nd_params.copy() if self.nd_params else None,
-            attn_weights=None if self.attn_weights is None else self.attn_weights.copy(),
-            attn_bias=None if self.attn_bias is None else self.attn_bias.copy(),
-            layers=[layer.copy() for layer in self.layers],
-        )
+        return copy.deepcopy(self)
 
     def set_parameters(self, values):
         """Copy ``values`` (a parameters()-ordered list) into this model."""
@@ -366,7 +384,7 @@ def _init_dense(rng, n_out: int, n_in: int, activation: str) -> DenseLayer:
 
 def count_params(model: Model) -> int:
     """Exact number of learnable scalars."""
-    return int(sum(p.size for p in model.parameters()))
+    return int(model.vector.size)
 
 
 @dataclass
@@ -485,11 +503,11 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
         raise ValueError("train and validation sets must be non-empty")
 
     rng = np.random.default_rng(config.seed)
-    params = model.parameters()
-    state = init_adam(params)
+    vector = model.vector
+    state = init_adam([vector])
     history = TrainHistory()
 
-    best_params = [p.copy() for p in params]
+    best_vector = vector.copy()
     best_acc = -np.inf
     epochs_since_improvement = 0
 
@@ -503,7 +521,8 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
             losses, d_logits = bce_with_logits(logits, yb)
             loss_sum += float(losses.sum())
             grads, _ = model_backward(model, cache, d_logits / len(chunk))
-            adam_step(params, grads, state, config)
+            adam_step([vector], [np.concatenate([g.ravel() for g in grads])],
+                      state, config)
 
         val_logits, _ = model_forward(model, X_val)
         val_losses, _ = bce_with_logits(val_logits, y_val)
@@ -515,7 +534,7 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
 
         if val_acc > best_acc:
             best_acc = val_acc
-            best_params = [p.copy() for p in params]
+            best_vector = vector.copy()
             history.best_epoch = epoch
             epochs_since_improvement = 0
         else:
@@ -524,7 +543,7 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
         if epochs_since_improvement >= config.patience:
             break
 
-    model.set_parameters(best_params)
+    vector[...] = best_vector
     return model, history
 
 
@@ -614,10 +633,3 @@ def load_checkpoint(path) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     return model_from_checkpoint_dict(doc)
-
-
-def load_checkpoint_meta(path) -> dict:
-    """The optional metadata block a checkpoint was saved with ({} if none)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return doc.get("meta", {})

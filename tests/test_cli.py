@@ -1,9 +1,11 @@
+import builtins
 import json
 import os
 
 import numpy as np
 import pytest
 
+from ndnet import cli
 from ndnet.cli import main
 from ndnet.data import SynthSpec, load_csv, save_csv, synth_generate
 from ndnet.network import build_model, checkpoint_to_json, save_checkpoint
@@ -216,6 +218,35 @@ class TestNoiseCommand:
             if row[0] == "0.0":
                 assert float(row[1]) == clean[int(row[2])]
 
+    def test_reads_each_checkpoint_once(self, crossval_run, tmp_path,
+                                        monkeypatch):
+        _, spec, run_dir = crossval_run
+        ckpts = [os.path.join(run_dir, "checkpoints", f"fold_{k}.json")
+                 for k in (0, 1)]
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        rc = main(["noise", *ckpts, "--synth", str(spec), "--etas", "0",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert [opened.count(path) for path in ckpts] == [1, 1]
+
+    def test_malformed_checkpoint_json_is_one_error_line(self, crossval_run,
+                                                         tmp_path, capsys):
+        _, spec, _ = crossval_run
+        ckpt = tmp_path / "broken.json"
+        ckpt.write_text('{"format": "ndnet-checkpoint",')
+        rc = main(["noise", str(ckpt), "--synth", str(spec),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: JSONDecodeError: "), err
+
     def test_missing_checkpoint_errors(self, tmp_path, capsys):
         rc = main(["noise", str(tmp_path / "missing.json"), "--synth",
                    str(spec_file(tmp_path)), "--out", str(tmp_path / "o")])
@@ -343,3 +374,44 @@ class TestParallelFolds:
         parallel = json.load(open(os.path.join(only_run_dir(out_parallel),
                                                "report.json")))
         assert serial["report"] == parallel["report"]
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
+    def test_bad_nd_threads_is_usage_error(self, value, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv("ND_THREADS", value)
+        rc = main(["crossval", "--synth", str(spec_file(tmp_path)),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: usage: ND_THREADS"), err
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("threads, folds, cpus, workers", [
+        ("64", 3, 4, 3), ("3", 10, 2, 2), ("2", 10, 8, 2), ("8", 10, None, None),
+        ("1", 10, 8, None), ("5", 1, 8, None)])
+    def test_worker_count_is_clamped(self, threads, folds, cpus, workers,
+                                     monkeypatch):
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("ND_THREADS", threads)
+        runner = cli._fold_runner(folds)
+        if workers is None:
+            assert runner is None
+        else:
+            assert runner([]) == []
+            assert created == [workers]

@@ -16,6 +16,7 @@ from ndnet.ndlayer import (
     nd_forward_signed,
     nd_forward_softplus,
     pair_count,
+    _pair_indexer,
 )
 from ndnet.ndmath import sigmoid, softplus
 
@@ -65,6 +66,75 @@ class TestPairIndexing:
         idx = PairIndexer(5)
         assert idx.pairs == enumerate_pairs(5)
         assert idx.n_pairs == 10
+
+    def test_incidence_matrices_mark_each_pair_bands(self):
+        idx = PairIndexer(5)
+        for p, (i, j) in enumerate(enumerate_pairs(5)):
+            assert idx.inc_i[p].tolist() == [float(k == i) for k in range(5)]
+            assert idx.inc_j[p].tolist() == [float(k == j) for k in range(5)]
+
+    def test_shared_indexer_is_read_only(self):
+        idx = _pair_indexer(6)
+        assert _pair_indexer(6) is idx
+        for array in (idx.i_idx, idx.j_idx, idx.inc_i, idx.inc_j):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert idx.pairs == enumerate_pairs(6)
+
+
+def scatter_oracle(variant, bands, params, delta, eps):
+    """Input gradient summed pair by pair with np.add.at, from the formulas."""
+    batch = np.atleast_2d(bands)
+    raw = batch
+    if variant == "softplus":
+        batch = softplus(raw)
+    idx = PairIndexer(batch.shape[1])
+    sa, sb = softplus(params.alpha), softplus(params.beta)
+    b_i, b_j = batch[:, idx.i_idx], batch[:, idx.j_idx]
+    d = np.atleast_2d(delta)
+    if variant == "signed":
+        m_i, m_j = np.sqrt(b_i ** 2 + eps), np.sqrt(b_j ** 2 + eps)
+        B = sa * m_i + sb * m_j + eps
+        A = sa * b_i - sb * b_j
+        t_i = d * sa * (B - A * b_i / m_i) / B ** 2
+        t_j = -d * sb * (B + A * b_j / m_j) / B ** 2
+    else:
+        B = sa * b_i + sb * b_j + eps
+        t_i = d * sa * (2 * sb * b_j + eps) / B ** 2
+        t_j = -d * sb * (2 * sa * b_i + eps) / B ** 2
+    acc = np.zeros((batch.shape[1], batch.shape[0]))
+    np.add.at(acc, idx.i_idx, t_i.T)
+    np.add.at(acc, idx.j_idx, t_j.T)
+    out = acc.T
+    if variant == "softplus":
+        out = out * sigmoid(raw)
+    return out[0] if np.ndim(bands) == 1 else out
+
+
+class TestIncidenceScatter:
+    VARIANTS = {
+        "plain": (nd_forward, nd_backward),
+        "signed": (nd_forward_signed, nd_backward_signed),
+        "softplus": (nd_forward_softplus, nd_backward_softplus),
+    }
+
+    @pytest.mark.parametrize("variant", ["plain", "signed", "softplus"])
+    @pytest.mark.parametrize("n_bands", [2, 10, 32])
+    @pytest.mark.parametrize("batch", [None, 32, 2000])
+    def test_input_gradient_matches_add_at_oracle(self, variant, n_bands,
+                                                  batch, rng):
+        shape = (n_bands,) if batch is None else (batch, n_bands)
+        low = 0.01 if variant == "plain" else -1.0
+        bands = rng.uniform(low, 1.0, size=shape)
+        n_pairs = pair_count(n_bands)
+        params = NdParams(rng.uniform(-2, 2, n_pairs), rng.uniform(-2, 2, n_pairs))
+        delta = rng.uniform(-1, 1, size=shape[:-1] + (n_pairs,))
+        forward, backward = self.VARIANTS[variant]
+        _, cache = forward(bands, params, 1e-8)
+        got = backward(cache, delta, params, 1e-8).d_input
+        oracle = scatter_oracle(variant, bands, params, delta, 1e-8)
+        assert got.shape == bands.shape
+        assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 class TestNdForward:

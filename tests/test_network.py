@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from ndnet.network import (
     DenseLayer,
     Model,
     TrainConfig,
+    TrainHistory,
     accuracy_from_logits,
     adam_step,
     bce_with_logits,
@@ -406,6 +409,124 @@ class TestTraining:
             TrainConfig(weight_decay=-0.1)
 
 
+def per_array_reference_train(model, train_set, val_set, config):
+    """The training loop with one pair of Adam moments per parameter array."""
+    rng = np.random.default_rng(config.seed)
+    params = model.parameters()
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    b1, b2, t = config.adam_beta1, config.adam_beta2, 0
+    history = TrainHistory()
+    best, best_acc, since = [p.copy() for p in params], -np.inf, 0
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(train_set.n_samples)
+        loss_sum = 0.0
+        for start in range(0, len(order), config.batch_size):
+            chunk = order[start:start + config.batch_size]
+            logits, cache = model_forward(model, train_set.X[chunk])
+            losses, d_logits = bce_with_logits(logits, train_set.y[chunk])
+            loss_sum += float(losses.sum())
+            grads, _ = model_backward(model, cache, d_logits / len(chunk))
+            t += 1
+            for p, g, mk, vk in zip(params, grads, m, v):
+                g = g + config.weight_decay * p
+                mk *= b1
+                mk += (1.0 - b1) * g
+                vk *= b2
+                vk += (1.0 - b2) * g * g
+                update = (mk / (1.0 - b1 ** t)) / (
+                    np.sqrt(vk / (1.0 - b2 ** t)) + config.adam_eps)
+                p -= config.learning_rate * update
+        val_logits, _ = model_forward(model, val_set.X)
+        val_losses, _ = bce_with_logits(val_logits, val_set.y)
+        val_acc = accuracy_from_logits(val_logits, val_set.y)
+        history.train_loss.append(loss_sum / train_set.n_samples)
+        history.val_loss.append(float(val_losses.mean()))
+        history.val_accuracy.append(val_acc)
+        if val_acc > best_acc:
+            best_acc, best, since = val_acc, [p.copy() for p in params], 0
+            history.best_epoch = epoch
+        else:
+            since += 1
+        history.stopped_epoch = epoch
+        if since >= config.patience:
+            break
+    for p, b in zip(params, best):
+        p[...] = b
+    return history
+
+
+def four_band_dataset(n, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.05, 1.0, size=(n, 4))
+    y = (X[:, 0] / (X[:, 0] + X[:, 2]) + 0.2 * rng.standard_normal(n) > 0.5)
+    return make_dataset(X, y.astype(np.int64))
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("arch", ["nd", "attnd", "mlp"])
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_parameters_are_views_in_checkpoint_order(self, arch, depth):
+        model = build_model(arch, depth, 5, seed=1)
+        params = model.parameters()
+        assert model.vector.dtype == np.float64 and model.vector.flags.c_contiguous
+        assert np.array_equal(np.concatenate([p.ravel() for p in params]),
+                              model.vector)
+        model.vector[:] = np.arange(model.vector.size)
+        offset = 0
+        for p in params:
+            assert np.array_equal(p.ravel(), np.arange(offset, offset + p.size))
+            offset += p.size
+        assert offset == model.vector.size == count_params(model)
+
+    @pytest.mark.parametrize("make", [
+        Model.copy,
+        lambda m: pickle.loads(pickle.dumps(m)),
+        copy.deepcopy,
+        lambda m: model_from_checkpoint_dict(json.loads(checkpoint_to_json(m))),
+    ], ids=["copy", "pickle", "deepcopy", "checkpoint"])
+    @pytest.mark.parametrize("arch", ["nd", "attnd", "mlp"])
+    def test_copies_follow_their_own_vector(self, make, arch, rng):
+        model = build_model(arch, 3, 4, seed=2)
+        model.vector[:] = rng.uniform(-1, 1, model.vector.size)
+        before = model.vector.copy()
+        twin = make(model)
+        assert np.array_equal(twin.vector, before)
+        assert not np.shares_memory(twin.vector, model.vector)
+        assert twin.indexer is model.indexer
+        twin.vector[:] = 7.0
+        for p in twin.parameters():
+            assert (p == 7.0).all()
+        assert np.array_equal(model.vector, before)
+        model_forward(twin, rng.uniform(0.1, 1.0, 4))
+
+    def test_constructor_leaves_its_arguments_untouched(self):
+        nd = build_model("nd", 3, 4, seed=3)
+        other = Model(arch="nd", depth=3, n_bands=4, band_names=nd.band_names,
+                      eps=nd.eps, nd_params=nd.nd_params, attn_weights=None,
+                      attn_bias=None, layers=nd.layers)
+        other.vector[:] = 0.0
+        assert nd.vector.any()
+        for p in nd.parameters():
+            assert np.shares_memory(p, nd.vector)
+
+    @pytest.mark.parametrize("arch", ["nd", "attnd", "mlp"])
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_train_matches_per_array_adam(self, arch, depth):
+        ds = four_band_dataset(100, seed=depth)
+        tr = make_dataset(ds.X[:70], ds.y[:70])
+        va = make_dataset(ds.X[70:], ds.y[70:])
+        config = TrainConfig(batch_size=16, max_epochs=12, patience=4, seed=5)
+        model = build_model(arch, depth, 4, seed=6)
+        reference = model.copy()
+        model, history = train(model, tr, va, config)
+        expected = per_array_reference_train(reference, tr, va, config)
+        assert history == expected
+        assert np.array_equal(model.vector, reference.vector)
+        for got, want in zip(model.parameters(), reference.parameters()):
+            assert np.array_equal(got, want)
+
+
 class TestPredictions:
     def test_tie_at_exact_zero_predicts_class_zero(self):
         assert predict_labels(np.array([0.0]))[0] == 0
@@ -448,11 +569,10 @@ class TestCheckpoints:
         assert set(doc["params"]) == set(model.parameter_names())
 
     def test_meta_block_round_trips(self, tmp_path):
-        from ndnet.network import load_checkpoint_meta
         model = build_model("nd", 2, 4, seed=0)
         path = tmp_path / "m.json"
         save_checkpoint(model, path, meta={"fold": 3, "split_seed": 1})
-        assert load_checkpoint_meta(path) == {"fold": 3, "split_seed": 1}
+        assert json.loads(path.read_text())["meta"] == {"fold": 3, "split_seed": 1}
 
     @settings(max_examples=40, deadline=None)
     @given(arch=st.sampled_from(["nd", "mlp", "attnd"]),
