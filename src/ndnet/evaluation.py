@@ -422,7 +422,10 @@ def crossval_fold(arch: str, depth: int, dataset, config: net.TrainConfig,
     model = net.build_model(arch, depth, dataset.n_bands, seed=seed,
                             eps=config.eps, band_names=dataset.band_names)
     fold_config = replace(config, seed=seed)
-    model, history = net.train(model, train_set, val_set, fold_config)
+    try:
+        model, history = net.train(model, train_set, val_set, fold_config)
+    except net.TrainingDiverged as exc:
+        raise net.TrainingDiverged(f"fold {fold}: {exc}", exc.epoch, fold) from None
     return fold, accuracy(model, test_set), model, history
 
 

@@ -36,6 +36,12 @@ it. The backward pass gathers them with two matrix products against the
 one-hot incidence matrices of ``PairIndexer`` (pair p has a 1 in column
 i_p of ``inc_i`` and in column j_p of ``inc_j``), not with a scatter-add;
 the sums are the same up to rounding order (a few ulps).
+
+The math lives in private cores (``_forward``, ``_backward``, ``_gate``,
+``_gate_backward``) that take 2-d arrays, precomputed softplus/sigmoid
+coefficients and output arrays, and check nothing; the public functions
+validate, then call them. The forward caches the numerator's products
+sa*b_i and sb*b_j, which the backward reuses.
 """
 
 from __future__ import annotations
@@ -147,11 +153,11 @@ class NdCache:
     sigma_beta: np.ndarray  # (n_pairs,)
     b_i: np.ndarray  # (batch, n_pairs)
     b_j: np.ndarray  # (batch, n_pairs)
-    m_i: np.ndarray  # m(b_i); the very array b_i when m is the identity
-    m_j: np.ndarray  # m(b_j)
+    sa_bi: np.ndarray  # sigma_alpha * b_i, the numerator's first term
+    sb_bj: np.ndarray  # sigma_beta * b_j
     denom: np.ndarray  # (batch, n_pairs)
     indexer: PairIndexer
-    single: bool  # True when forward saw a 1-d input
+    single: bool = False  # True when the public forward saw a 1-d input
     raw: np.ndarray | None = None  # pre-softplus inputs, softplus variant only
 
 
@@ -170,7 +176,7 @@ class AttentionCache:
     weights: np.ndarray
     gate: np.ndarray  # sigmoid(W b + c)
     nd_outputs: np.ndarray
-    single: bool
+    single: bool = False
 
 
 @dataclass
@@ -197,42 +203,118 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def _forward(bands, params: NdParams, eps, indexer, signed: bool):
-    """The quotient over all pairs, with m(b) = sqrt(b^2+eps) when signed."""
-    eps = _check_eps(eps)
-    batch, single = _as_batch(bands, "bands")
+NEGATIVE_INPUT_MESSAGE = (
+    "nd_forward requires nonnegative inputs; use the signed variant "
+    "for data that may be negative"
+)
+
+
+def _check_bands(batch, signed: bool):
+    """Reject NaN, and negatives unless the forward is the signed one."""
     if np.isnan(batch).any():
         raise ValueError("bands contain NaN")
     if not signed and (batch < 0).any():
-        raise ValueError(
-            "nd_forward requires nonnegative inputs; use the signed variant "
-            "for data that may be negative"
-        )
+        raise ValueError(NEGATIVE_INPUT_MESSAGE)
+
+
+def _smooth_abs(b, eps):
+    """m(b) = sqrt(b^2 + eps), the signed variant's denominator map."""
+    m = b ** 2
+    m += eps
+    return np.sqrt(m, out=m)
+
+
+def _forward(batch, sa, sb, eps, idx: PairIndexer, signed: bool):
+    """The quotient over all pairs of a 2-d batch; inputs are not checked.
+
+    ``sa`` and ``sb`` are softplus(alpha) and softplus(beta). With m the
+    identity the denominator reuses the numerator's two products. The
+    sums and the quotient update their first operand in place, which
+    keeps the peak memory of a large batch down and gives the same values.
+    """
+    b_i = batch[:, idx.i_idx]
+    b_j = batch[:, idx.j_idx]
+    sa_bi = sa * b_i
+    sb_bj = sb * b_j
+    if signed:
+        denom = sa * _smooth_abs(b_i, eps)
+        denom += sb * _smooth_abs(b_j, eps)
+    else:
+        denom = sa_bi + sb_bj
+    denom += eps
+    out = sa_bi - sb_bj
+    out /= denom
+    return out, NdCache(sa, sb, b_i, b_j, sa_bi, sb_bj, denom, idx)
+
+
+def _backward(cache: NdCache, delta, sig_a, sig_b, eps, signed: bool,
+              d_alpha, d_beta, need_input: bool = True):
+    """Quotient-rule gradients of ``_forward``, with the same ``signed``.
+
+    ``delta`` is 2-d like the cached forward; ``sig_a``/``sig_b`` are
+    sigmoid(alpha) and sigmoid(beta). The coefficient gradients are written
+    into ``d_alpha`` and ``d_beta``; returns the input gradient, or None
+    when ``need_input`` is false. Nothing is checked.
+    """
+    sa, sb = cache.sigma_alpha, cache.sigma_beta
+    b_i, b_j = cache.b_i, cache.b_j
+    B = cache.denom
+    denom_sq = B ** 2
+    # w_i = (dN/db_i) / sa and w_j = -(dN/db_j) / sb; u_i = dN/dsa and
+    # u_j = -dN/dsb.
+    if signed:
+        A = cache.sa_bi - cache.sb_bj
+        m_i = _smooth_abs(b_i, eps)
+        m_j = _smooth_abs(b_j, eps)
+        w_i = (B - A * b_i / m_i) / denom_sq
+        w_j = (B + A * b_j / m_j) / denom_sq
+        u_i = (b_i * B - A * m_i) / denom_sq
+        u_j = (b_j * B + A * m_j) / denom_sq
+    else:
+        w_i = 2.0 * cache.sb_bj
+        w_i += eps
+        w_i /= denom_sq
+        w_j = 2.0 * cache.sa_bi
+        w_j += eps
+        w_j /= denom_sq
+        u_i = b_i * w_i
+        u_j = b_j * w_j
+
+    # Each product takes the layout of delta, so the batch sums below add
+    # the rows in order whatever the layout of the cached arrays.
+    t = delta * sig_a
+    t *= u_i
+    np.add.reduce(t, axis=0, out=d_alpha)
+    np.multiply(delta, sig_b, out=t)
+    t *= u_j
+    np.add.reduce(t, axis=0, out=d_beta)
+    np.negative(d_beta, out=d_beta)
+    if not need_input:
+        return None
+    idx = cache.indexer
+    return (delta * sa * w_i) @ idx.inc_i - (delta * sb * w_j) @ idx.inc_j
+
+
+def _checked_forward(bands, params: NdParams, eps, indexer, signed: bool):
+    """Validate, then run ``_forward``; the public forwards share this."""
+    eps = _check_eps(eps)
+    batch, single = _as_batch(bands, "bands")
+    _check_bands(batch, signed)
     idx = indexer if indexer is not None else _pair_indexer(batch.shape[1])
     if params.n_pairs != idx.n_pairs:
         raise ValueError(
             f"params carry {params.n_pairs} pairs but input implies "
             f"{idx.n_pairs}"
         )
-
-    sa = softplus(params.alpha)
-    sb = softplus(params.beta)
-    b_i = batch[:, idx.i_idx]
-    b_j = batch[:, idx.j_idx]
-    if signed:
-        m_i = np.sqrt(b_i ** 2 + eps)
-        m_j = np.sqrt(b_j ** 2 + eps)
-    else:
-        m_i, m_j = b_i, b_j
-    denom = sa * m_i + sb * m_j + eps
-    out = (sa * b_i - sb * b_j) / denom
-    cache = NdCache(sa, sb, b_i, b_j, m_i, m_j, denom, idx, single)
+    out, cache = _forward(batch, softplus(params.alpha), softplus(params.beta),
+                          eps, idx, signed)
+    cache.single = single
     return (out[0] if single else out), cache
 
 
-def _backward(cache: NdCache, upstream, params: NdParams, eps,
-              signed: bool) -> NdGradients:
-    """Quotient-rule gradients of ``_forward``, with the same ``signed``."""
+def _checked_backward(cache: NdCache, upstream, params: NdParams, eps,
+                      signed: bool) -> NdGradients:
+    """Validate, then run ``_backward``; the public backwards share this."""
     eps = _check_eps(eps)
     delta = np.asarray(upstream, dtype=np.float64)
     if cache.single:
@@ -242,29 +324,10 @@ def _backward(cache: NdCache, upstream, params: NdParams, eps,
             f"upstream shape {delta.shape} does not match cached forward "
             f"shape {cache.denom.shape}"
         )
-
-    sa, sb = cache.sigma_alpha, cache.sigma_beta
-    b_i, b_j = cache.b_i, cache.b_j
-    B = cache.denom
-    denom_sq = B ** 2
-    # w_i = (dN/db_i) / sa and w_j = -(dN/db_j) / sb; u_i = dN/dsa and
-    # u_j = -dN/dsb.
-    if signed:
-        A = sa * b_i - sb * b_j
-        w_i = (B - A * b_i / cache.m_i) / denom_sq
-        w_j = (B + A * b_j / cache.m_j) / denom_sq
-        u_i = (b_i * B - A * cache.m_i) / denom_sq
-        u_j = (b_j * B + A * cache.m_j) / denom_sq
-    else:
-        w_i = (2.0 * sb * b_j + eps) / denom_sq
-        w_j = (2.0 * sa * b_i + eps) / denom_sq
-        u_i = b_i * w_i
-        u_j = b_j * w_j
-
-    d_alpha = (delta * sigmoid(params.alpha) * u_i).sum(axis=0)
-    d_beta = -(delta * sigmoid(params.beta) * u_j).sum(axis=0)
-    idx = cache.indexer
-    d_input = (delta * sa * w_i) @ idx.inc_i - (delta * sb * w_j) @ idx.inc_j
+    d_alpha = np.empty(params.n_pairs)
+    d_beta = np.empty(params.n_pairs)
+    d_input = _backward(cache, delta, sigmoid(params.alpha),
+                        sigmoid(params.beta), eps, signed, d_alpha, d_beta)
     if cache.single:
         d_input = d_input[0]
     return NdGradients(d_alpha, d_beta, d_input)
@@ -278,7 +341,7 @@ def nd_forward(bands, params: NdParams, eps: float = DEFAULT_EPS,
     pair in lexicographic order. Rejects NaN and negative inputs; use
     ``nd_forward_signed`` or ``nd_forward_softplus`` for signed data.
     """
-    return _forward(bands, params, eps, indexer, signed=False)
+    return _checked_forward(bands, params, eps, indexer, signed=False)
 
 
 def nd_backward(cache: NdCache, upstream, params: NdParams,
@@ -290,7 +353,7 @@ def nd_backward(cache: NdCache, upstream, params: NdParams,
     input gradient accumulates the contributions of all n-1 pairs that
     contain it.
     """
-    return _backward(cache, upstream, params, eps, signed=False)
+    return _checked_backward(cache, upstream, params, eps, signed=False)
 
 
 def nd_forward_signed(bands, params: NdParams, eps: float = DEFAULT_EPS,
@@ -301,13 +364,13 @@ def nd_forward_signed(bands, params: NdParams, eps: float = DEFAULT_EPS,
     The denominator is strictly positive and dominates |numerator|, so
     outputs stay in [-1, 1] for inputs of any sign.
     """
-    return _forward(bands, params, eps, indexer, signed=True)
+    return _checked_forward(bands, params, eps, indexer, signed=True)
 
 
 def nd_backward_signed(cache: NdCache, upstream, params: NdParams,
                        eps: float = DEFAULT_EPS) -> NdGradients:
     """Backward pass matching ``nd_forward_signed``."""
-    return _backward(cache, upstream, params, eps, signed=True)
+    return _checked_backward(cache, upstream, params, eps, signed=True)
 
 
 def nd_forward_softplus(bands, params: NdParams, eps: float = DEFAULT_EPS,
@@ -319,7 +382,8 @@ def nd_forward_softplus(bands, params: NdParams, eps: float = DEFAULT_EPS,
     (-1, 1). Nonlinear in the inputs, unlike the smooth-|b| variant.
     """
     raw = np.asarray(bands, dtype=np.float64)
-    out, cache = _forward(softplus(raw), params, eps, indexer, signed=False)
+    out, cache = _checked_forward(softplus(raw), params, eps, indexer,
+                                  signed=False)
     cache.raw = raw
     return out, cache
 
@@ -333,9 +397,29 @@ def nd_backward_softplus(cache: NdCache, upstream, params: NdParams,
     """
     if cache.raw is None:
         raise ValueError("cache does not come from nd_forward_softplus")
-    grads = _backward(cache, upstream, params, eps, signed=False)
+    grads = _checked_backward(cache, upstream, params, eps, signed=False)
     grads.d_input = grads.d_input * sigmoid(cache.raw)
     return grads
+
+
+def _gate(batch, W, c, outputs):
+    """Gated pair outputs of a 2-d batch; nothing is checked."""
+    gate = sigmoid(batch @ W.T + c)
+    return gate * outputs, AttentionCache(batch, W, gate, outputs)
+
+
+def _gate_backward(cache: AttentionCache, delta, d_weights, d_bias,
+                   need_bands: bool = True):
+    """Gradients of ``_gate`` for a 2-d ``delta``; nothing is checked.
+
+    Writes the weight and bias gradients into ``d_weights`` and ``d_bias``
+    and returns (d_nd_outputs, d_bands), d_bands None unless ``need_bands``.
+    """
+    d_nd = delta * cache.gate
+    d_pre = delta * cache.nd_outputs * cache.gate * (1.0 - cache.gate)
+    np.matmul(d_pre.T, cache.bands, out=d_weights)
+    np.add.reduce(d_pre, axis=0, out=d_bias)
+    return d_nd, (d_pre @ cache.weights if need_bands else None)
 
 
 def attention_gate(bands, weights, bias, nd_outputs):
@@ -360,9 +444,8 @@ def attention_gate(bands, weights, bias, nd_outputs):
         raise ValueError(
             f"attention bias must have length {outputs.shape[1]}, got {c.shape}"
         )
-    gate = sigmoid(batch @ W.T + c)
-    gated = gate * outputs
-    cache = AttentionCache(batch, W, gate, outputs, single)
+    gated, cache = _gate(batch, W, c, outputs)
+    cache.single = single
     return (gated[0] if single else gated), cache
 
 
@@ -381,11 +464,9 @@ def attention_gate_backward(cache: AttentionCache, upstream) -> AttentionGradien
             f"upstream shape {delta.shape} does not match gate shape "
             f"{cache.gate.shape}"
         )
-    d_nd = delta * cache.gate
-    d_pre = delta * cache.nd_outputs * cache.gate * (1.0 - cache.gate)
-    d_weights = d_pre.T @ cache.bands
-    d_bias = d_pre.sum(axis=0)
-    d_bands = d_pre @ cache.weights
+    d_weights = np.empty(cache.weights.shape)
+    d_bias = np.empty(cache.gate.shape[1])
+    d_nd, d_bands = _gate_backward(cache, delta, d_weights, d_bias)
     if cache.single:
         d_nd = d_nd[0]
         d_bands = d_bands[0]

@@ -33,4 +33,5 @@ def sigmoid(x):
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    d = 1.0 + t
+    return np.where(x >= 0, 1.0 / d, t / d)

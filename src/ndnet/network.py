@@ -17,6 +17,15 @@ views of it. So one training step is one Adam update on that vector,
 with one pair of moment vectors, and the best-epoch snapshot and its
 restore are one copy each. The training loop is deterministic given
 TrainConfig.seed.
+
+Each formula lives in one private core that checks nothing
+(``_model_forward``/``_model_backward`` here, ``_forward``/``_backward``
+and ``_gate``/``_gate_backward`` in ndlayer, ``_dense_forward``/
+``_dense_backward``). The public functions validate their arguments and
+call the cores. ``train()`` validates its sets once and then runs the
+cores directly: per step it transforms the adjacent alpha|beta block once
+with softplus and once with sigmoid, writes every gradient into one
+preallocated vector and skips the input gradient nobody reads.
 """
 
 from __future__ import annotations
@@ -29,16 +38,16 @@ import numpy as np
 
 from .ndlayer import (
     DEFAULT_EPS,
+    NEGATIVE_INPUT_MESSAGE,
     NdParams,
     PairIndexer,
     _as_batch,
+    _backward,
+    _check_bands,
+    _forward,
+    _gate,
+    _gate_backward,
     _pair_indexer,
-    attention_gate,
-    attention_gate_backward,
-    nd_backward,
-    nd_backward_signed,
-    nd_forward,
-    nd_forward_signed,
     pair_count,
 )
 from .ndmath import sigmoid, softplus
@@ -54,6 +63,8 @@ __all__ = [
     "TrainConfig",
     "AdamState",
     "TrainHistory",
+    "TrainingDiverged",
+    "DIVERGENCE_LOSS",
     "dense_forward",
     "dense_backward",
     "bce_with_logits",
@@ -102,7 +113,29 @@ class DenseLayer:
 class DenseCache:
     inputs: np.ndarray  # (batch, n_in)
     pre: np.ndarray  # (batch, n_out), pre-activation
-    single: bool
+    single: bool = False
+
+
+def _dense_forward(layer: DenseLayer, x):
+    """Affine map plus activation of a 2-d batch; nothing is checked."""
+    pre = x @ layer.weights.T
+    pre += layer.bias
+    out = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+    return out, DenseCache(x, pre)
+
+
+def _dense_backward(layer: DenseLayer, cache: DenseCache, delta, d_weights,
+                    d_bias, need_input: bool = True):
+    """Writes the weight and bias gradients into ``d_weights``/``d_bias``.
+
+    ``delta`` is 2-d; returns the input gradient, or None when
+    ``need_input`` is false. Nothing is checked.
+    """
+    if layer.activation == "relu":
+        delta = delta * (cache.pre > 0)
+    np.matmul(delta.T, cache.inputs, out=d_weights)
+    np.add.reduce(delta, axis=0, out=d_bias)
+    return delta @ layer.weights if need_input else None
 
 
 def dense_forward(layer: DenseLayer, x):
@@ -113,9 +146,8 @@ def dense_forward(layer: DenseLayer, x):
             f"input width {batch.shape[1]} does not match layer fan-in "
             f"{layer.weights.shape[1]}"
         )
-    pre = batch @ layer.weights.T + layer.bias
-    out = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
-    cache = DenseCache(batch, pre, single)
+    out, cache = _dense_forward(layer, batch)
+    cache.single = single
     return (out[0] if single else out), cache
 
 
@@ -129,11 +161,9 @@ def dense_backward(layer: DenseLayer, cache: DenseCache, upstream):
             f"upstream shape {delta.shape} does not match forward shape "
             f"{cache.pre.shape}"
         )
-    if layer.activation == "relu":
-        delta = delta * (cache.pre > 0)
-    d_weights = delta.T @ cache.inputs
-    d_bias = delta.sum(axis=0)
-    d_input = delta @ layer.weights
+    d_weights = np.empty(layer.weights.shape)
+    d_bias = np.empty(layer.bias.shape)
+    d_input = _dense_backward(layer, cache, delta, d_weights, d_bias)
     if cache.single:
         d_input = d_input[0]
     return d_weights, d_bias, d_input
@@ -195,45 +225,44 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray  # first moment, shaped like the parameter array
+    v: np.ndarray  # second moment
     t: int = 0
 
 
-def init_adam(params) -> AdamState:
-    return AdamState(m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params])
+def init_adam(param) -> AdamState:
+    """Zero moments for one parameter array (``train`` passes the model's
+    vector)."""
+    return AdamState(m=np.zeros_like(param), v=np.zeros_like(param))
 
 
-def adam_step(params, grads, state: AdamState, config: TrainConfig):
-    """One Adam update, in place on ``params``.
+def adam_step(param, grad, state: AdamState, config: TrainConfig):
+    """One Adam update of one array, in place on ``param`` and ``state``.
 
-    ``params`` and ``grads`` are matching lists of arrays; ``train`` passes
-    one array, the model's parameter vector. With
-    ``decoupled_weight_decay=False`` the decay enters the gradient
-    (grad + wd*param) before the moment updates; with True it is applied
-    as a separate -lr*wd*param term outside the adaptive scaling.
+    ``grad`` is read, not written. With ``decoupled_weight_decay=False`` the
+    decay enters the gradient (grad + wd*param) before the moment updates;
+    with True it is applied as a separate -lr*wd*param term outside the
+    adaptive scaling.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params/grads/state lengths disagree")
+    if param.shape != grad.shape or param.shape != state.m.shape:
+        raise ValueError(f"param shape {param.shape}, grad shape {grad.shape} "
+                         f"and moment shape {state.m.shape} disagree")
     state.t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"param shape {p.shape} vs grad shape {g.shape}")
-        if config.weight_decay and not config.decoupled_weight_decay:
-            g = g + config.weight_decay * p
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + config.adam_eps)
-        if config.weight_decay and config.decoupled_weight_decay:
-            update = update + config.weight_decay * p
-        p -= config.learning_rate * update
-    return params, state
+    m, v = state.m, state.v
+    if config.weight_decay and not config.decoupled_weight_decay:
+        grad = grad + config.weight_decay * param
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    update = (m / bias1) / (np.sqrt(v / bias2) + config.adam_eps)
+    if config.weight_decay and config.decoupled_weight_decay:
+        update = update + config.weight_decay * param
+    param -= config.learning_rate * update
+    return param, state
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +295,7 @@ class Model:
         self.vector = np.concatenate([p.ravel() for p in params])
         # Rebind every learnable array as a view of its slice of the vector,
         # on new holders, so the NdParams and layers passed in stay untouched.
-        parts = np.split(self.vector, np.cumsum([p.size for p in params])[:-1])
-        views = iter([part.reshape(p.shape) for part, p in zip(parts, params)])
+        views = iter(self.views(self.vector))
         if self.nd_params is not None:
             self.nd_params = NdParams(next(views), next(views))
         if self.attn_weights is not None:
@@ -307,6 +335,14 @@ class Model:
         for k, _ in enumerate(self.layers):
             names.extend([f"dense{k}.weights", f"dense{k}.bias"])
         return names
+
+    def views(self, vector) -> list:
+        """Views of a vector laid out like ``vector``, in parameters() order."""
+        views, offset = [], 0
+        for p in self.parameters():
+            views.append(vector[offset:offset + np.size(p)].reshape(np.shape(p)))
+            offset += np.size(p)
+        return views
 
     def copy(self) -> "Model":
         return copy.deepcopy(self)
@@ -393,7 +429,69 @@ class ModelCache:
     gate: object  # AttentionCache for attnd, else None
     dense: list  # DenseCache per dense layer
     signed: bool
-    single: bool
+    single: bool = False
+
+
+def _coefficients(model: Model, fn):
+    """``fn`` of the adjacent alpha|beta block of ``model.vector``.
+
+    One call covers both coefficient arrays; the first half of the result
+    belongs to alpha, the second to beta. None for mlp.
+    """
+    if model.nd_params is None:
+        return None
+    return fn(model.vector[:2 * model.nd_params.n_pairs])
+
+
+def _model_forward(model: Model, batch, coeffs, signed: bool = False):
+    """Logits of a 2-d batch and the cache for ``_model_backward``.
+
+    ``coeffs`` is ``_coefficients(model, softplus)``. Nothing is checked:
+    ``model_forward`` and ``train`` validate the inputs first.
+    """
+    first = gate = None
+    x = batch
+    if model.nd_params is not None:
+        n = model.nd_params.n_pairs
+        x, first = _forward(batch, coeffs[:n], coeffs[n:], model.eps,
+                            model.indexer, signed)
+        if model.attn_weights is not None:
+            x, gate = _gate(batch, model.attn_weights, model.attn_bias, x)
+    dense = []
+    for layer in model.layers:
+        x, cache = _dense_forward(layer, x)
+        dense.append(cache)
+    return x[:, 0], ModelCache(first, gate, dense, signed)
+
+
+def _model_backward(model: Model, cache: ModelCache, d_logit, sigmas, grads,
+                    need_input: bool = True):
+    """Write every parameter gradient into ``grads``; return d_bands.
+
+    ``d_logit`` is 1-d with one entry per cached row, ``sigmas`` is
+    ``_coefficients(model, sigmoid)`` and ``grads`` holds views shaped like
+    ``model.parameters()``, in that order. With ``need_input`` false the
+    first layer's input gradient is skipped and None is returned. Nothing
+    is checked.
+    """
+    delta = d_logit[:, None]
+    lead = len(grads) - 2 * len(model.layers)
+    for k in range(len(model.layers) - 1, -1, -1):
+        delta = _dense_backward(model.layers[k], cache.dense[k], delta,
+                                grads[lead + 2 * k], grads[lead + 2 * k + 1],
+                                need_input or k > 0 or lead > 0)
+    if model.nd_params is None:
+        return delta
+    gate_bands = None
+    if model.attn_weights is not None:
+        delta, gate_bands = _gate_backward(cache.gate, delta, grads[2],
+                                           grads[3], need_input)
+    n = model.nd_params.n_pairs
+    d_bands = _backward(cache.first, delta, sigmas[:n], sigmas[n:], model.eps,
+                        cache.signed, grads[0], grads[1], need_input)
+    if gate_bands is not None:
+        d_bands = d_bands + gate_bands
+    return d_bands
 
 
 def model_forward(model: Model, bands, signed: bool = False):
@@ -408,21 +506,11 @@ def model_forward(model: Model, bands, signed: bool = False):
         raise ValueError(
             f"model expects {model.n_bands} bands, got {batch.shape[1]}"
         )
-    first_cache = gate_cache = None
-    if model.arch in ("nd", "attnd"):
-        fwd = nd_forward_signed if signed else nd_forward
-        x, first_cache = fwd(batch, model.nd_params, model.eps, model.indexer)
-        if model.arch == "attnd":
-            x, gate_cache = attention_gate(batch, model.attn_weights,
-                                           model.attn_bias, x)
-    else:
-        x = batch
-    dense_caches = []
-    for layer in model.layers:
-        x, cache = dense_forward(layer, x)
-        dense_caches.append(cache)
-    logit = x[:, 0]
-    cache = ModelCache(first_cache, gate_cache, dense_caches, signed, single)
+    if model.nd_params is not None:
+        _check_bands(batch, signed)
+    logit, cache = _model_forward(model, batch, _coefficients(model, softplus),
+                                  signed)
+    cache.single = single
     return (float(logit[0]) if single else logit), cache
 
 
@@ -430,44 +518,47 @@ def model_backward(model: Model, cache: ModelCache, d_logit):
     """Gradients for every learnable array plus the input bands.
 
     Returns (grads, d_bands) with ``grads`` ordered like
-    ``model.parameters()``.
+    ``model.parameters()``; they are views of one fresh vector laid out
+    like ``model.vector``.
     """
     delta = np.asarray(d_logit, dtype=np.float64)
     if cache.single:
         delta = np.atleast_1d(delta)
-    delta = delta[:, None]
-
-    dense_grads = []
-    for layer, layer_cache in zip(reversed(model.layers), reversed(cache.dense)):
-        d_w, d_b, delta = dense_backward(layer, layer_cache, delta)
-        dense_grads.append((d_w, d_b))
-    dense_grads.reverse()
-
-    grads = []
-    d_bands = None
-    if model.arch in ("nd", "attnd"):
-        if model.arch == "attnd":
-            attn = attention_gate_backward(cache.gate, delta)
-            delta = attn.d_nd_outputs
-        bwd = nd_backward_signed if cache.signed else nd_backward
-        nd_grads = bwd(cache.first, delta, model.nd_params, model.eps)
-        d_bands = nd_grads.d_input
-        if model.arch == "attnd":
-            d_bands = d_bands + attn.d_bands
-        grads.extend([nd_grads.d_alpha, nd_grads.d_beta])
-        if model.arch == "attnd":
-            grads.extend([attn.d_weights, attn.d_bias])
-    else:
-        d_bands = delta
-    for d_w, d_b in dense_grads:
-        grads.extend([d_w, d_b])
-    if cache.single and d_bands.ndim == 2:
-        d_bands = d_bands[0]
-    return grads, d_bands
+    rows = cache.dense[-1].pre.shape[0]
+    if delta.shape != (rows,):
+        raise ValueError(
+            f"d_logit shape {delta.shape} does not match the {rows} cached rows"
+        )
+    grads = model.views(np.empty_like(model.vector))
+    d_bands = _model_backward(model, cache, delta,
+                              _coefficients(model, sigmoid), grads)
+    return grads, (d_bands[0] if cache.single else d_bands)
 
 
 # ---------------------------------------------------------------------------
 # training
+
+# Mean train BCE above which an epoch counts as diverged. Training starts
+# near ln 2 = 0.69, and a wrong row costs about |logit|, so a mean of 1000
+# puts the typical wrong logit far past the point where the sigmoid
+# saturates (|logit| ~ 37 in float64). On the packaged synthetic spec at
+# learning rates 0.01-1e4, every arch/depth run whose mean train loss
+# passed 1000 in an epoch ended with a best validation accuracy of 0.68 or
+# less; runs at the default rate stay below 0.6.
+DIVERGENCE_LOSS = 1e3
+
+
+class TrainingDiverged(ValueError):
+    """Training blew up: non-finite parameters or loss, or a mean train
+    loss above ``DIVERGENCE_LOSS``. ``epoch`` is 1-based; ``fold`` is set
+    by cross-validation."""
+
+    def __init__(self, message, epoch, fold=None):
+        super().__init__(message)
+        self.epoch, self.fold = epoch, fold
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.epoch, self.fold)
 
 
 @dataclass
@@ -487,6 +578,29 @@ def _dataset_arrays(dataset):
     return np.asarray(X, dtype=np.float64), np.asarray(y)
 
 
+def _divergence(mean_loss: float, vector) -> str | None:
+    """Why an epoch with this mean train loss and these parameters counts
+    as diverged, or None."""
+    if not np.isfinite(mean_loss):
+        return "non-finite loss"
+    if not np.isfinite(vector).all():
+        return "non-finite parameters"
+    if mean_loss > DIVERGENCE_LOSS:
+        return f"mean train loss {mean_loss:.3g} exceeds {DIVERGENCE_LOSS:g}"
+    return None
+
+
+def _check_training_bands(model: Model, X, name: str):
+    """What the forwards would reject, plus inf, for every architecture."""
+    if X.ndim != 2 or X.shape[1] != model.n_bands:
+        raise ValueError(f"model expects {model.n_bands} bands, got a {name} "
+                         f"set of shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} set contains non-finite values")
+    if model.nd_params is not None and (X < 0).any():
+        raise ValueError(NEGATIVE_INPUT_MESSAGE)
+
+
 def train(model: Model, train_set, val_set, config: TrainConfig):
     """Mini-batch Adam with early stopping on validation accuracy.
 
@@ -496,15 +610,26 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
     keep the earlier epoch). Stops after ``patience`` epochs without
     improvement or at ``max_epochs``, then restores the best-epoch
     parameters. Returns (model, TrainHistory).
+
+    Both sets are validated once, on entry (finite, the model's band
+    count, nonnegative for nd/attnd); the steps then run the unchecked
+    cores. Each step transforms the coefficients once, writes the
+    gradients into one preallocated vector and makes one Adam update.
+    Raises ``TrainingDiverged`` after an epoch whose parameters or loss
+    are not finite or whose mean train loss exceeds ``DIVERGENCE_LOSS``.
     """
     X_train, y_train = _dataset_arrays(train_set)
     X_val, y_val = _dataset_arrays(val_set)
     if len(X_train) == 0 or len(X_val) == 0:
         raise ValueError("train and validation sets must be non-empty")
+    _check_training_bands(model, X_train, "training")
+    _check_training_bands(model, X_val, "validation")
 
     rng = np.random.default_rng(config.seed)
     vector = model.vector
-    state = init_adam([vector])
+    grad = np.empty_like(vector)
+    grads = model.views(grad)
+    state = init_adam(vector)
     history = TrainHistory()
 
     best_vector = vector.copy()
@@ -517,18 +642,27 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
             xb, yb = X_train[chunk], y_train[chunk]
-            logits, cache = model_forward(model, xb)
+            logits, cache = _model_forward(model, xb,
+                                           _coefficients(model, softplus))
             losses, d_logits = bce_with_logits(logits, yb)
             loss_sum += float(losses.sum())
-            grads, _ = model_backward(model, cache, d_logits / len(chunk))
-            adam_step([vector], [np.concatenate([g.ravel() for g in grads])],
-                      state, config)
+            _model_backward(model, cache, d_logits / len(chunk),
+                            _coefficients(model, sigmoid), grads,
+                            need_input=False)
+            adam_step(vector, grad, state, config)
 
-        val_logits, _ = model_forward(model, X_val)
+        train_loss = loss_sum / len(X_train)
+        problem = _divergence(train_loss, vector)
+        if problem is not None:
+            raise TrainingDiverged(
+                f"training diverged at epoch {epoch}: {problem}", epoch)
+
+        val_logits, _ = _model_forward(model, X_val,
+                                       _coefficients(model, softplus))
         val_losses, _ = bce_with_logits(val_logits, y_val)
         val_acc = accuracy_from_logits(val_logits, y_val)
 
-        history.train_loss.append(loss_sum / len(X_train))
+        history.train_loss.append(train_loss)
         history.val_loss.append(float(val_losses.mean()))
         history.val_accuracy.append(val_acc)
 

@@ -340,6 +340,17 @@ class TestRunCrossval:
                                       for a in reversed(args)]).report
         assert report_to_dict(serial) == report_to_dict(shuffled)
 
+    def test_divergence_names_the_fold(self):
+        from ndnet.evaluation import crossval_fold
+        ds = small_synth()
+        config = TrainConfig(learning_rate=1e4, max_epochs=3, patience=3, seed=0)
+        split = SplitSpec(n_folds=2, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(
+                network.TrainingDiverged,
+                match=r"^fold 1: training diverged at epoch \d") as info:
+            crossval_fold("mlp", 3, ds, config, split, 1)
+        assert info.value.fold == 1 and info.value.epoch >= 1
+
     def test_attach_noise_sweep_degradation(self):
         ds = small_synth()
         result = run_crossval("nd", 2, ds, QUICK, n_folds=10)

@@ -7,12 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ndnet import network as net
 from ndnet.data import Dataset
+from ndnet.ndlayer import (
+    NdParams,
+    attention_gate,
+    attention_gate_backward,
+    nd_backward,
+    nd_forward,
+)
+from ndnet.ndmath import sigmoid, softplus
 from ndnet.network import (
+    DIVERGENCE_LOSS,
     DenseLayer,
     Model,
     TrainConfig,
     TrainHistory,
+    TrainingDiverged,
     accuracy_from_logits,
     adam_step,
     bce_with_logits,
@@ -141,25 +152,24 @@ class TestBceWithLogits:
 
 class TestAdam:
     def test_zero_gradients_leave_params_unchanged(self):
-        params = [np.array([1.0, -2.0]), np.array([[0.5]])]
-        grads = [np.zeros(2), np.zeros((1, 1))]
-        state = init_adam(params)
+        param = np.array([1.0, -2.0, 0.5])
+        grad = np.zeros(3)
+        state = init_adam(param)
         config = TrainConfig(weight_decay=0.0)
-        before = [p.copy() for p in params]
-        adam_step(params, grads, state, config)
-        for p, b in zip(params, before):
-            assert np.array_equal(p, b)
+        before = param.copy()
+        adam_step(param, grad, state, config)
+        assert np.array_equal(param, before)
 
     def test_first_step_magnitude_is_learning_rate(self):
         # bias correction makes m_hat = g and v_hat = g^2 at t = 1
         for g in (0.001, 1.0, 250.0):
-            params = [np.array([0.0])]
-            state = init_adam(params)
+            param = np.array([0.0])
+            state = init_adam(param)
             config = TrainConfig(learning_rate=0.01, weight_decay=0.0)
-            adam_step(params, [np.array([g])], state, config)
+            adam_step(param, np.array([g]), state, config)
             expected = 0.01 * g / (math.sqrt(g * g) + 1e-8)
-            assert params[0][0] == pytest.approx(-expected, rel=1e-12)
-            assert abs(params[0][0]) == pytest.approx(0.01, rel=1e-5)
+            assert param[0] == pytest.approx(-expected, rel=1e-12)
+            assert abs(param[0]) == pytest.approx(0.01, rel=1e-5)
 
     def test_two_steps_match_hand_rolled_oracle(self):
         # independent two-iteration rollout of the update equations
@@ -174,40 +184,40 @@ class TestAdam:
             v_hat = v / (1 - b2 ** t)
             theta -= lr * m_hat / (math.sqrt(v_hat) + eps_opt)
 
-        params = [np.array([0.0])]
-        state = init_adam(params)
+        param = np.array([0.0])
+        state = init_adam(param)
         config = TrainConfig(learning_rate=lr, weight_decay=0.0)
         for _ in range(2):
-            adam_step(params, [np.array([1.0])], state, config)
-        assert params[0][0] == pytest.approx(theta, abs=1e-15)
-        assert params[0][0] == pytest.approx(-0.02, abs=1e-6)
+            adam_step(param, np.array([1.0]), state, config)
+        assert param[0] == pytest.approx(theta, abs=1e-15)
+        assert param[0] == pytest.approx(-0.02, abs=1e-6)
 
     def test_coupled_decay_adds_l2_pull(self):
-        params = [np.array([10.0])]
-        state = init_adam(params)
+        param = np.array([10.0])
+        state = init_adam(param)
         config = TrainConfig(learning_rate=0.01, weight_decay=0.1)
-        adam_step(params, [np.array([0.0])], state, config)
+        adam_step(param, np.array([0.0]), state, config)
         # decay alone: effective grad 0.1*10 = 1, first step is -lr
-        assert params[0][0] == pytest.approx(10.0 - 0.01, rel=1e-6)
+        assert param[0] == pytest.approx(10.0 - 0.01, rel=1e-6)
 
     def test_zero_decay_modes_coincide(self, rng):
         updates = []
         for decoupled in (False, True):
-            params = [rng.integers(1, 5, size=3).astype(float)]
-            params[0][:] = [1.0, -2.0, 3.0]
-            state = init_adam(params)
+            param = rng.integers(1, 5, size=3).astype(float)
+            param[:] = [1.0, -2.0, 3.0]
+            state = init_adam(param)
             config = TrainConfig(weight_decay=0.0,
                                  decoupled_weight_decay=decoupled)
             for step in range(5):
-                adam_step(params, [np.array([0.3, -0.7, 1.1])], state, config)
-            updates.append(params[0].copy())
+                adam_step(param, np.array([0.3, -0.7, 1.1]), state, config)
+            updates.append(param.copy())
         assert np.array_equal(updates[0], updates[1])
 
     def test_shape_mismatch_raises(self):
-        params = [np.zeros(2)]
-        state = init_adam(params)
+        param = np.zeros(2)
+        state = init_adam(param)
         with pytest.raises(ValueError):
-            adam_step(params, [np.zeros(3)], state, TrainConfig())
+            adam_step(param, np.zeros(3), state, TrainConfig())
 
 
 class TestBuildModel:
@@ -525,6 +535,196 @@ class TestParameterVector:
         assert np.array_equal(model.vector, reference.vector)
         for got, want in zip(model.parameters(), reference.parameters()):
             assert np.array_equal(got, want)
+
+
+def layerwise_gradients(model, bands, d_logit):
+    """Parameter gradients chained through the public layer functions."""
+    first = gate = None
+    x = bands
+    if model.nd_params is not None:
+        x, first = nd_forward(bands, model.nd_params, model.eps)
+        if model.attn_weights is not None:
+            x, gate = attention_gate(bands, model.attn_weights, model.attn_bias, x)
+    dense = []
+    for layer in model.layers:
+        x, cache = dense_forward(layer, x)
+        dense.append(cache)
+    delta = d_logit[:, None]
+    tail = []
+    for layer, cache in zip(reversed(model.layers), reversed(dense)):
+        d_w, d_b, delta = dense_backward(layer, cache, delta)
+        tail[:0] = [d_w, d_b]
+    head = []
+    if model.attn_weights is not None:
+        attn = attention_gate_backward(gate, delta)
+        delta = attn.d_nd_outputs
+        head = [attn.d_weights, attn.d_bias]
+    if model.nd_params is not None:
+        nd = nd_backward(first, delta, model.nd_params, model.eps)
+        head[:0] = [nd.d_alpha, nd.d_beta]
+    return x[:, 0], np.concatenate([g.ravel() for g in head + tail])
+
+
+class TestTrainingCore:
+    """The unchecked cores that train() runs give the public functions' bits."""
+
+    @pytest.mark.parametrize("arch", ["nd", "attnd", "mlp"])
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("n_bands", [2, 10, 32])
+    def test_core_gradients_equal_public_bit_for_bit(self, arch, depth, n_bands):
+        rng = np.random.default_rng(100 * depth + n_bands)
+        model = build_model(arch, depth, n_bands, seed=n_bands)
+        model.vector[:] += rng.normal(0.0, 0.3, model.vector.size)
+        X = rng.uniform(0.01, 1.0, size=(77, n_bands))
+        y = rng.integers(0, 2, size=77)
+        grad = np.full(model.vector.size, np.nan)
+        views = model.views(grad)
+        # batch 1, a full batch of 32 and the last partial batch of 77 rows
+        for rows in (slice(0, 1), slice(0, 32), slice(64, 77)):
+            xb, yb = X[rows], y[rows]
+            logits, cache = net._model_forward(
+                model, xb, net._coefficients(model, softplus))
+            _, d_logits = bce_with_logits(logits, yb)
+            d_logits = d_logits / len(yb)
+            assert net._model_backward(
+                model, cache, d_logits, net._coefficients(model, sigmoid),
+                views, need_input=False) is None
+
+            public_logits, public_cache = model_forward(model, xb)
+            grads, d_bands = model_backward(model, public_cache, d_logits)
+            assert np.array_equal(logits, public_logits)
+            assert np.array_equal(grad, np.concatenate([g.ravel() for g in grads]))
+            assert d_bands.shape == xb.shape
+
+            chained_logits, chained = layerwise_gradients(model, xb, d_logits)
+            assert np.array_equal(logits, chained_logits)
+            assert np.array_equal(grad, chained)
+
+    @pytest.mark.parametrize("arch", ["nd", "attnd", "mlp"])
+    def test_single_row_public_path_matches_core(self, arch, rng):
+        model = build_model(arch, 3, 6, seed=4)
+        bands = rng.uniform(0.01, 1.0, 6)
+        logit, cache = model_forward(model, bands)
+        grads, d_bands = model_backward(model, cache, 0.25)
+        core_logit, core_cache = net._model_forward(
+            model, bands[None, :], net._coefficients(model, softplus))
+        grad = np.empty_like(model.vector)
+        net._model_backward(model, core_cache, np.array([0.25]),
+                            net._coefficients(model, sigmoid),
+                            model.views(grad))
+        assert logit == core_logit[0]
+        assert np.array_equal(grad, np.concatenate([g.ravel() for g in grads]))
+        assert d_bands.shape == (6,)
+
+    def test_public_backward_rejects_wrong_upstream_length(self, rng):
+        model = build_model("nd", 2, 4, seed=0)
+        _, cache = model_forward(model, rng.uniform(0.1, 1.0, (5, 4)))
+        with pytest.raises(ValueError, match="5 cached rows"):
+            model_backward(model, cache, np.ones(4))
+
+
+class TestTrainingEntryChecks:
+    """train() checks both sets once, on entry, for every architecture."""
+
+    config = TrainConfig(max_epochs=2, patience=2, seed=1)
+
+    @staticmethod
+    def sets(X, y):
+        return (X[:30], y[:30]), (X[30:], y[30:])
+
+    @pytest.mark.parametrize("arch", ["nd", "attnd", "mlp"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [7, 35], ids=["train", "val"])
+    def test_non_finite_values_rejected(self, arch, value, row):
+        ds = four_band_dataset(40, seed=1)
+        X = ds.X.copy()
+        X[row, 2] = value
+        model = build_model(arch, 2, 4, seed=0)
+        before = model.vector.copy()
+        with pytest.raises(ValueError, match="contains non-finite values"):
+            train(model, *self.sets(X, ds.y), self.config)
+        assert np.array_equal(model.vector, before)
+
+    @pytest.mark.parametrize("arch", ["nd", "attnd", "mlp"])
+    @pytest.mark.parametrize("n_bands", [3, 5])
+    def test_band_count_must_match_the_model(self, arch, n_bands):
+        rng = np.random.default_rng(n_bands)
+        X = rng.uniform(0.1, 1.0, size=(40, n_bands))
+        y = rng.integers(0, 2, size=40)
+        with pytest.raises(ValueError, match="model expects 4 bands"):
+            train(build_model(arch, 2, 4, seed=0), *self.sets(X, y), self.config)
+
+    @pytest.mark.parametrize("arch", ["nd", "attnd"])
+    @pytest.mark.parametrize("row", [7, 35], ids=["train", "val"])
+    def test_negatives_rejected_with_the_forward_message(self, arch, row):
+        ds = four_band_dataset(40, seed=1)
+        X = ds.X.copy()
+        X[row, 0] = -0.01
+        with pytest.raises(ValueError) as forward_error:
+            nd_forward([-0.01, 0.5], NdParams.zeros(1))
+        with pytest.raises(ValueError) as train_error:
+            train(build_model(arch, 2, 4, seed=0), *self.sets(X, ds.y), self.config)
+        assert str(train_error.value) == str(forward_error.value)
+
+    def test_mlp_trains_on_negatives(self):
+        ds = four_band_dataset(40, seed=1)
+        X = ds.X - 0.5
+        model, history = train(build_model("mlp", 2, 4, seed=0),
+                               *self.sets(X, ds.y), self.config)
+        assert np.isfinite(model.vector).all()
+        assert len(history.train_loss) == 2
+
+
+def constant_logit_mlp(logit):
+    """An mlp whose every weight is zero and whose head bias is ``logit``."""
+    model = build_model("mlp", 2, 4, seed=0)
+    model.vector[:] = 0.0
+    model.layers[-1].bias[:] = logit
+    return model
+
+
+class TestDivergence:
+    # All labels 0 and every logit z: each row's loss is softplus(z), which
+    # is z itself in float64 at these sizes, and a learning rate of 1e-12
+    # moves z by about 1e-12 a step.
+    config = TrainConfig(learning_rate=1e-12, weight_decay=0.0, max_epochs=3,
+                         patience=3, seed=0)
+
+    def run(self, logit):
+        X = four_band_dataset(60, seed=2).X
+        y = np.zeros(60, dtype=np.int64)
+        return train(constant_logit_mlp(logit), (X[:45], y[:45]),
+                     (X[45:], y[45:]), self.config)
+
+    def test_mean_loss_below_threshold_trains(self):
+        _, history = self.run(DIVERGENCE_LOSS - 1.0)
+        assert len(history.train_loss) == 3
+        assert max(history.train_loss) == pytest.approx(DIVERGENCE_LOSS - 1.0)
+        assert max(history.train_loss) < DIVERGENCE_LOSS
+
+    def test_mean_loss_above_threshold_raises(self):
+        with pytest.raises(TrainingDiverged,
+                           match="diverged at epoch 1: mean train loss") as info:
+            self.run(DIVERGENCE_LOSS + 1.0)
+        assert isinstance(info.value, ValueError)
+        assert info.value.epoch == 1 and info.value.fold is None
+
+    @pytest.mark.parametrize("learning_rate, batch_size, what", [
+        (1e300, 16, "loss"),  # the second step's logits overflow
+        (np.inf, 64, "parameters"),  # one step per epoch, on a finite loss
+    ])
+    def test_non_finite_epoch_raises(self, learning_rate, batch_size, what):
+        ds = four_band_dataset(60, seed=2)
+        config = TrainConfig(learning_rate=learning_rate, batch_size=batch_size,
+                             max_epochs=3, patience=3)
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDiverged, match=f"diverged at epoch 1: non-finite {what}$"):
+            train(build_model("mlp", 3, 4, seed=0), (ds.X[:45], ds.y[:45]),
+                  (ds.X[45:], ds.y[45:]), config)
+
+    def test_error_survives_pickling(self):
+        error = pickle.loads(pickle.dumps(TrainingDiverged("boom", 3, 1)))
+        assert (str(error), error.epoch, error.fold) == ("boom", 3, 1)
 
 
 class TestPredictions:
