@@ -39,8 +39,6 @@ from .evaluation import (
 from .ndlayer import (
     NdParams,
     PairIndexer,
-    attention_gate,
-    attention_gate_backward,
     nd_backward,
     nd_backward_signed,
     nd_backward_softplus,
@@ -60,8 +58,6 @@ from .network import (
     bce_with_logits,
     build_model,
     count_params,
-    dense_backward,
-    dense_forward,
     init_adam,
     load_checkpoint,
     model_backward,

@@ -16,13 +16,14 @@ from . import data as data_mod
 from . import network as net
 from .ndlayer import (
     NdParams,
-    PairIndexer,
+    _pair_indexer,
     nd_backward,
     nd_backward_signed,
     nd_backward_softplus,
     nd_forward,
     nd_forward_signed,
     nd_forward_softplus,
+    pair_count,
 )
 from .ndmath import softplus
 
@@ -43,7 +44,6 @@ __all__ = [
     "report_to_dict",
     "report_to_text",
     "history_csv_rows",
-    "sweep_csv_rows",
     "GRADCHECK_TARGETS",
 ]
 
@@ -167,7 +167,7 @@ def top_asymmetric(ratio_matrix: CoeffRatioMatrix, k: int):
     Asymmetry of a pair is max(ratio, 1/ratio); ties keep lexicographic
     pair order. k larger than the pair count returns every pair.
     """
-    indexer = PairIndexer(ratio_matrix.n_bands)
+    indexer = _pair_indexer(ratio_matrix.n_bands)
     entries = []
     for i, j in indexer.pairs:
         ratio = ratio_matrix.ratio(i, j)
@@ -258,16 +258,16 @@ def _gradcheck_layer(target, trials, tol, seed, eps):
                 bands[small] = np.where(bands[small] >= 0, margin, -margin)
         else:
             bands = rng.uniform(0.01, 1.0, size=n)
-        indexer = PairIndexer(n)
-        params = NdParams(rng.uniform(-2.0, 2.0, size=indexer.n_pairs),
-                          rng.uniform(-2.0, 2.0, size=indexer.n_pairs))
-        delta = rng.uniform(-1.0, 1.0, size=indexer.n_pairs)
+        n_pairs = pair_count(n)
+        params = NdParams(rng.uniform(-2.0, 2.0, size=n_pairs),
+                          rng.uniform(-2.0, 2.0, size=n_pairs))
+        delta = rng.uniform(-1.0, 1.0, size=n_pairs)
 
-        _, cache = forward(bands, params, eps, indexer)
+        _, cache = forward(bands, params, eps)
         grads = backward(cache, delta, params, eps)
 
         def objective():
-            out, _ = forward(bands, params, eps, indexer)
+            out, _ = forward(bands, params, eps)
             return float(delta @ out)
 
         for family, analytic, array in (("alpha", grads.d_alpha, params.alpha),
@@ -541,15 +541,4 @@ def history_csv_rows(histories, arch: str, depth: int, metric: str):
         series = getattr(history, metric)
         for epoch, value in enumerate(series, start=1):
             rows.append((epoch, value, fold, arch, depth))
-    return rows
-
-
-def sweep_csv_rows(report: EvalReport):
-    """Rows (eta, value, fold, arch, depth) for the noise sweep."""
-    if not report.noise_etas:
-        return []
-    rows = []
-    for fold, accs in enumerate(report.noise_fold_accuracies):
-        for eta, value in zip(report.noise_etas, accs):
-            rows.append((eta, value, fold, report.arch, report.depth))
     return rows

@@ -37,11 +37,12 @@ one-hot incidence matrices of ``PairIndexer`` (pair p has a 1 in column
 i_p of ``inc_i`` and in column j_p of ``inc_j``), not with a scatter-add;
 the sums are the same up to rounding order (a few ulps).
 
-The math lives in private cores (``_forward``, ``_backward``, ``_gate``,
-``_gate_backward``) that take 2-d arrays, precomputed softplus/sigmoid
-coefficients and output arrays, and check nothing; the public functions
-validate, then call them. The forward caches the numerator's products
-sa*b_i and sb*b_j, which the backward reuses.
+The math lives in private cores (``_forward``, ``_backward``) that take
+2-d arrays, precomputed softplus/sigmoid coefficients and output arrays,
+and check nothing; the public functions validate, then call them. The
+forward caches the numerator's products sa*b_i and sb*b_j, which the
+backward reuses. The ``attnd`` model's attention gate has private cores
+only (``_gate``, ``_gate_backward``).
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ __all__ = [
     "NdCache",
     "NdGradients",
     "AttentionCache",
-    "AttentionGradients",
     "pair_count",
     "nd_forward",
     "nd_backward",
@@ -70,8 +70,6 @@ __all__ = [
     "nd_backward_signed",
     "nd_forward_softplus",
     "nd_backward_softplus",
-    "attention_gate",
-    "attention_gate_backward",
 ]
 
 
@@ -176,15 +174,6 @@ class AttentionCache:
     weights: np.ndarray
     gate: np.ndarray  # sigmoid(W b + c)
     nd_outputs: np.ndarray
-    single: bool = False
-
-
-@dataclass
-class AttentionGradients:
-    d_weights: np.ndarray
-    d_bias: np.ndarray
-    d_bands: np.ndarray
-    d_nd_outputs: np.ndarray
 
 
 def _as_batch(x, name="input"):
@@ -203,18 +192,14 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-NEGATIVE_INPUT_MESSAGE = (
-    "nd_forward requires nonnegative inputs; use the signed variant "
-    "for data that may be negative"
-)
-
-
-def _check_bands(batch, signed: bool):
-    """Reject NaN, and negatives unless the forward is the signed one."""
-    if np.isnan(batch).any():
-        raise ValueError("bands contain NaN")
+def _check_bands(batch, signed: bool, name: str = "input"):
+    """Reject NaN and +-inf, and negatives unless ``signed``; the forwards,
+    ``network.model_forward`` and ``network.train`` all run this check."""
+    if not np.isfinite(batch).all():
+        raise ValueError(f"{name} contains non-finite values (NaN or inf)")
     if not signed and (batch < 0).any():
-        raise ValueError(NEGATIVE_INPUT_MESSAGE)
+        raise ValueError("nd_forward requires nonnegative inputs; use the "
+                         "signed variant for data that may be negative")
 
 
 def _smooth_abs(b, eps):
@@ -295,12 +280,12 @@ def _backward(cache: NdCache, delta, sig_a, sig_b, eps, signed: bool,
     return (delta * sa * w_i) @ idx.inc_i - (delta * sb * w_j) @ idx.inc_j
 
 
-def _checked_forward(bands, params: NdParams, eps, indexer, signed: bool):
+def _checked_forward(bands, params: NdParams, eps, signed: bool):
     """Validate, then run ``_forward``; the public forwards share this."""
     eps = _check_eps(eps)
     batch, single = _as_batch(bands, "bands")
     _check_bands(batch, signed)
-    idx = indexer if indexer is not None else _pair_indexer(batch.shape[1])
+    idx = _pair_indexer(batch.shape[1])
     if params.n_pairs != idx.n_pairs:
         raise ValueError(
             f"params carry {params.n_pairs} pairs but input implies "
@@ -333,15 +318,15 @@ def _checked_backward(cache: NdCache, upstream, params: NdParams, eps,
     return NdGradients(d_alpha, d_beta, d_input)
 
 
-def nd_forward(bands, params: NdParams, eps: float = DEFAULT_EPS,
-               indexer: PairIndexer | None = None):
+def nd_forward(bands, params: NdParams, eps: float = DEFAULT_EPS):
     """Nonnegative-input forward pass over all channel pairs.
 
     Returns (outputs, cache) where outputs has one value in [-1, 1] per
-    pair in lexicographic order. Rejects NaN and negative inputs; use
-    ``nd_forward_signed`` or ``nd_forward_softplus`` for signed data.
+    pair in lexicographic order. Rejects NaN, infinite and negative
+    inputs; use ``nd_forward_signed`` or ``nd_forward_softplus`` for
+    signed data.
     """
-    return _checked_forward(bands, params, eps, indexer, signed=False)
+    return _checked_forward(bands, params, eps, signed=False)
 
 
 def nd_backward(cache: NdCache, upstream, params: NdParams,
@@ -356,15 +341,14 @@ def nd_backward(cache: NdCache, upstream, params: NdParams,
     return _checked_backward(cache, upstream, params, eps, signed=False)
 
 
-def nd_forward_signed(bands, params: NdParams, eps: float = DEFAULT_EPS,
-                      indexer: PairIndexer | None = None):
+def nd_forward_signed(bands, params: NdParams, eps: float = DEFAULT_EPS):
     """Signed-input forward: smooth absolute values in the denominator.
 
     N_ij = (sa*b_i - sb*b_j) / (sa*sqrt(b_i^2+eps) + sb*sqrt(b_j^2+eps) + eps).
     The denominator is strictly positive and dominates |numerator|, so
     outputs stay in [-1, 1] for inputs of any sign.
     """
-    return _checked_forward(bands, params, eps, indexer, signed=True)
+    return _checked_forward(bands, params, eps, signed=True)
 
 
 def nd_backward_signed(cache: NdCache, upstream, params: NdParams,
@@ -373,8 +357,7 @@ def nd_backward_signed(cache: NdCache, upstream, params: NdParams,
     return _checked_backward(cache, upstream, params, eps, signed=True)
 
 
-def nd_forward_softplus(bands, params: NdParams, eps: float = DEFAULT_EPS,
-                        indexer: PairIndexer | None = None):
+def nd_forward_softplus(bands, params: NdParams, eps: float = DEFAULT_EPS):
     """Signed-input forward: inputs pass through softplus first.
 
     The transformed values softplus(b) are strictly positive, so the
@@ -382,8 +365,7 @@ def nd_forward_softplus(bands, params: NdParams, eps: float = DEFAULT_EPS,
     (-1, 1). Nonlinear in the inputs, unlike the smooth-|b| variant.
     """
     raw = np.asarray(bands, dtype=np.float64)
-    out, cache = _checked_forward(softplus(raw), params, eps, indexer,
-                                  signed=False)
+    out, cache = _checked_forward(softplus(raw), params, eps, signed=False)
     cache.raw = raw
     return out, cache
 
@@ -403,7 +385,11 @@ def nd_backward_softplus(cache: NdCache, upstream, params: NdParams,
 
 
 def _gate(batch, W, c, outputs):
-    """Gated pair outputs of a 2-d batch; nothing is checked."""
+    """Pair outputs scaled by gates sigmoid(W @ b + c); nothing is checked.
+
+    ``W`` is (n_pairs, n_bands) and ``c`` (n_pairs,). Gates lie in (0, 1),
+    so gated outputs keep the [-1, 1] bound of their inputs.
+    """
     gate = sigmoid(batch @ W.T + c)
     return gate * outputs, AttentionCache(batch, W, gate, outputs)
 
@@ -420,54 +406,3 @@ def _gate_backward(cache: AttentionCache, delta, d_weights, d_bias,
     np.matmul(d_pre.T, cache.bands, out=d_weights)
     np.add.reduce(d_pre, axis=0, out=d_bias)
     return d_nd, (d_pre @ cache.weights if need_bands else None)
-
-
-def attention_gate(bands, weights, bias, nd_outputs):
-    """Scale pair outputs by input-dependent gates sigmoid(W @ bands + c).
-
-    ``weights`` has one row per pair and one column per band; ``bias`` has
-    one entry per pair. Gates lie in (0, 1), so gated outputs keep the
-    [-1, 1] bound of their inputs. Returns (gated, cache).
-    """
-    batch, single = _as_batch(bands, "bands")
-    outputs, out_single = _as_batch(nd_outputs, "nd_outputs")
-    if single != out_single or batch.shape[0] != outputs.shape[0]:
-        raise ValueError("bands and nd_outputs disagree on batch shape")
-    W = np.asarray(weights, dtype=np.float64)
-    c = np.asarray(bias, dtype=np.float64)
-    if W.ndim != 2 or W.shape != (outputs.shape[1], batch.shape[1]):
-        raise ValueError(
-            f"attention weights must be (n_pairs, n_bands) = "
-            f"({outputs.shape[1]}, {batch.shape[1]}), got {W.shape}"
-        )
-    if c.shape != (outputs.shape[1],):
-        raise ValueError(
-            f"attention bias must have length {outputs.shape[1]}, got {c.shape}"
-        )
-    gated, cache = _gate(batch, W, c, outputs)
-    cache.single = single
-    return (gated[0] if single else gated), cache
-
-
-def attention_gate_backward(cache: AttentionCache, upstream) -> AttentionGradients:
-    """Backward pass for the attention gate.
-
-    Splits the upstream gradient between the gate path (through the
-    sigmoid's q*(1-q) factor, reaching W, c and the raw bands) and the
-    gated pair outputs themselves.
-    """
-    delta = np.asarray(upstream, dtype=np.float64)
-    if cache.single:
-        delta = delta[None, :]
-    if delta.shape != cache.gate.shape:
-        raise ValueError(
-            f"upstream shape {delta.shape} does not match gate shape "
-            f"{cache.gate.shape}"
-        )
-    d_weights = np.empty(cache.weights.shape)
-    d_bias = np.empty(cache.gate.shape[1])
-    d_nd, d_bands = _gate_backward(cache, delta, d_weights, d_bias)
-    if cache.single:
-        d_nd = d_nd[0]
-        d_bands = d_bands[0]
-    return AttentionGradients(d_weights, d_bias, d_bands, d_nd)

@@ -19,13 +19,15 @@ restore are one copy each. The training loop is deterministic given
 TrainConfig.seed.
 
 Each formula lives in one private core that checks nothing
-(``_model_forward``/``_model_backward`` here, ``_forward``/``_backward``
-and ``_gate``/``_gate_backward`` in ndlayer, ``_dense_forward``/
-``_dense_backward``). The public functions validate their arguments and
-call the cores. ``train()`` validates its sets once and then runs the
-cores directly: per step it transforms the adjacent alpha|beta block once
-with softplus and once with sigmoid, writes every gradient into one
-preallocated vector and skips the input gradient nobody reads.
+(``_model_forward``/``_model_backward``, ``_dense_forward``/
+``_dense_backward`` here, ``_forward``/``_backward`` and ``_gate``/
+``_gate_backward`` in ndlayer). A ``Model`` checks its array shapes when
+it is built, and ``_check_input`` decides which bands it accepts, for
+``model_forward`` and ``train`` alike. ``train()`` validates its sets once
+and then runs the cores directly: per step it transforms the adjacent
+alpha|beta block once with softplus and once with sigmoid, writes every
+gradient into one preallocated vector and skips the input gradient nobody
+reads.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import numpy as np
 
 from .ndlayer import (
     DEFAULT_EPS,
-    NEGATIVE_INPUT_MESSAGE,
     NdParams,
     PairIndexer,
     _as_batch,
@@ -65,8 +66,9 @@ __all__ = [
     "TrainHistory",
     "TrainingDiverged",
     "DIVERGENCE_LOSS",
-    "dense_forward",
-    "dense_backward",
+    "ADAM_BETA1",
+    "ADAM_BETA2",
+    "ADAM_EPS",
     "bce_with_logits",
     "init_adam",
     "adam_step",
@@ -105,15 +107,11 @@ class DenseLayer:
         if self.activation not in ("relu", "identity"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weights.copy(), self.bias.copy(), self.activation)
-
 
 @dataclass
 class DenseCache:
     inputs: np.ndarray  # (batch, n_in)
     pre: np.ndarray  # (batch, n_out), pre-activation
-    single: bool = False
 
 
 def _dense_forward(layer: DenseLayer, x):
@@ -129,44 +127,14 @@ def _dense_backward(layer: DenseLayer, cache: DenseCache, delta, d_weights,
     """Writes the weight and bias gradients into ``d_weights``/``d_bias``.
 
     ``delta`` is 2-d; returns the input gradient, or None when
-    ``need_input`` is false. Nothing is checked.
+    ``need_input`` is false. The ReLU derivative at 0 is 0. Nothing is
+    checked.
     """
     if layer.activation == "relu":
         delta = delta * (cache.pre > 0)
     np.matmul(delta.T, cache.inputs, out=d_weights)
     np.add.reduce(delta, axis=0, out=d_bias)
     return delta @ layer.weights if need_input else None
-
-
-def dense_forward(layer: DenseLayer, x):
-    """Affine map plus activation; returns (output, cache)."""
-    batch, single = _as_batch(x)
-    if batch.shape[1] != layer.weights.shape[1]:
-        raise ValueError(
-            f"input width {batch.shape[1]} does not match layer fan-in "
-            f"{layer.weights.shape[1]}"
-        )
-    out, cache = _dense_forward(layer, batch)
-    cache.single = single
-    return (out[0] if single else out), cache
-
-
-def dense_backward(layer: DenseLayer, cache: DenseCache, upstream):
-    """Returns (d_weights, d_bias, d_input). ReLU derivative at 0 is 0."""
-    delta = np.asarray(upstream, dtype=np.float64)
-    if cache.single:
-        delta = delta[None, :]
-    if delta.shape != cache.pre.shape:
-        raise ValueError(
-            f"upstream shape {delta.shape} does not match forward shape "
-            f"{cache.pre.shape}"
-        )
-    d_weights = np.empty(layer.weights.shape)
-    d_bias = np.empty(layer.bias.shape)
-    d_input = _dense_backward(layer, cache, delta, d_weights, d_bias)
-    if cache.single:
-        d_input = d_input[0]
-    return d_weights, d_bias, d_input
 
 
 # ---------------------------------------------------------------------------
@@ -198,27 +166,28 @@ def accuracy_from_logits(logits, labels) -> float:
 # ---------------------------------------------------------------------------
 # optimizer
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.01
-    weight_decay: float = 1e-4
+    weight_decay: float = 1e-4  # L2, folded into the gradient
     batch_size: int = 32
     max_epochs: int = 150
     patience: int = 25
     seed: int = 0
     eps: float = DEFAULT_EPS
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    decoupled_weight_decay: bool = False  # False: L2 folded into the gradient
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.max_epochs,
-               self.patience, self.eps, self.adam_eps) <= 0:
-            raise ValueError("TrainConfig fields must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        positive = (self.learning_rate, self.batch_size, self.max_epochs,
+                    self.patience, self.eps)
+        if not (np.isfinite(positive).all() and min(positive) > 0):
+            raise ValueError("TrainConfig fields must be positive and finite")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError("weight_decay must be nonnegative and finite")
         if self.patience > self.max_epochs:
             raise ValueError("patience must not exceed max_epochs")
 
@@ -239,28 +208,24 @@ def init_adam(param) -> AdamState:
 def adam_step(param, grad, state: AdamState, config: TrainConfig):
     """One Adam update of one array, in place on ``param`` and ``state``.
 
-    ``grad`` is read, not written. With ``decoupled_weight_decay=False`` the
-    decay enters the gradient (grad + wd*param) before the moment updates;
-    with True it is applied as a separate -lr*wd*param term outside the
-    adaptive scaling.
+    ``grad`` is read, not written. The weight decay is a coupled L2 term:
+    it enters the gradient (grad + wd*param) before the moment updates.
     """
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ValueError(f"param shape {param.shape}, grad shape {grad.shape} "
                          f"and moment shape {state.m.shape} disagree")
     state.t += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     m, v = state.m, state.v
-    if config.weight_decay and not config.decoupled_weight_decay:
+    if config.weight_decay:
         grad = grad + config.weight_decay * param
     m *= b1
     m += (1.0 - b1) * grad
     v *= b2
     v += (1.0 - b2) * grad * grad
-    update = (m / bias1) / (np.sqrt(v / bias2) + config.adam_eps)
-    if config.weight_decay and config.decoupled_weight_decay:
-        update = update + config.weight_decay * param
+    update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     param -= config.learning_rate * update
     return param, state
 
@@ -290,6 +255,7 @@ class Model:
             raise ValueError("band_names length must equal n_bands")
         if not (self.eps > 0 and np.isfinite(self.eps)):
             raise ValueError(f"eps must be a positive finite real, got {self.eps}")
+        self._check_shapes()
         self.indexer = _pair_indexer(self.n_bands)
         params = [np.asarray(p, dtype=np.float64) for p in self.parameters()]
         self.vector = np.concatenate([p.ravel() for p in params])
@@ -302,6 +268,31 @@ class Model:
             self.attn_weights, self.attn_bias = next(views), next(views)
         self.layers = [DenseLayer(next(views), next(views), layer.activation)
                        for layer in self.layers]
+
+    def _check_shapes(self):
+        """Every learnable array has the shape ``build_model`` gives it: the
+        forward cores check nothing, and a mismatch would broadcast."""
+        n_pairs = pair_count(self.n_bands)
+        expected = {}
+        if self.arch != "mlp":
+            expected.update({"nd.alpha": (n_pairs,), "nd.beta": (n_pairs,)})
+        if self.arch == "attnd":
+            expected.update({"attn.weights": (n_pairs, self.n_bands),
+                             "attn.bias": (n_pairs,)})
+        widths = [n_pairs] * (self.depth - 1) + [1]
+        if self.arch == "mlp":
+            widths.insert(0, self.n_bands)
+        for k in range(len(widths) - 1):
+            expected[f"dense{k}.weights"] = (widths[k + 1], widths[k])
+            expected[f"dense{k}.bias"] = (widths[k + 1],)
+        actual = dict(zip(self.parameter_names(),
+                          map(np.shape, self.parameters())))
+        for name in list(expected) + [n for n in actual if n not in expected]:
+            if actual.get(name, "none") != expected.get(name, "none"):
+                raise ValueError(
+                    f"{self.arch} depth {self.depth} on {self.n_bands} bands: "
+                    f"{name} has shape {actual.get(name, 'none')}, expected "
+                    f"{expected.get(name, 'none')}")
 
     def __reduce__(self):
         # Pickle and deepcopy rebuild through __init__, so the copy's arrays
@@ -380,8 +371,6 @@ def build_model(arch: str, depth: int, n_bands: int, seed: int = 0,
         raise ValueError(f"unknown architecture {arch!r}; expected {ARCHITECTURES}")
     if depth not in DEPTHS:
         raise ValueError(f"unsupported depth {depth}; expected one of {DEPTHS}")
-    if n_bands < 2:
-        raise ValueError("need at least 2 bands")
     if band_names is None:
         band_names = default_band_names(n_bands)
 
@@ -396,15 +385,12 @@ def build_model(arch: str, depth: int, n_bands: int, seed: int = 0,
         if arch == "attnd":
             attn_w = rng.uniform(-0.1, 0.1, size=(width, n_bands))
             attn_c = np.zeros(width)
-        first_width = width
     else:
         layers.append(_init_dense(rng, width, n_bands, "relu"))
-        first_width = width
 
     for _ in range(depth - 2):
-        layers.append(_init_dense(rng, width, first_width, "relu"))
-        first_width = width
-    layers.append(_init_dense(rng, 1, first_width, "identity"))
+        layers.append(_init_dense(rng, width, width, "relu"))
+    layers.append(_init_dense(rng, 1, width, "identity"))
 
     return Model(arch=arch, depth=depth, n_bands=n_bands,
                  band_names=list(band_names), eps=float(eps),
@@ -494,6 +480,15 @@ def _model_backward(model: Model, cache: ModelCache, d_logit, sigmas, grads,
     return d_bands
 
 
+def _check_input(model: Model, X, signed: bool, name: str):
+    """The bands a model accepts: a 2-d array of its band count and finite
+    values, nonnegative unless ``signed`` or the first layer is dense."""
+    if X.ndim != 2 or X.shape[1] != model.n_bands:
+        raise ValueError(f"model expects {model.n_bands} bands, got {name} "
+                         f"of shape {X.shape}")
+    _check_bands(X, signed or model.nd_params is None, name)
+
+
 def model_forward(model: Model, bands, signed: bool = False):
     """End-to-end logit. Returns (logit, cache).
 
@@ -502,12 +497,7 @@ def model_forward(model: Model, bands, signed: bool = False):
     evaluating noise-perturbed data); the plain forward rejects negatives.
     """
     batch, single = _as_batch(bands, "bands")
-    if batch.shape[1] != model.n_bands:
-        raise ValueError(
-            f"model expects {model.n_bands} bands, got {batch.shape[1]}"
-        )
-    if model.nd_params is not None:
-        _check_bands(batch, signed)
+    _check_input(model, batch, signed, "input")
     logit, cache = _model_forward(model, batch, _coefficients(model, softplus),
                                   signed)
     cache.single = single
@@ -590,17 +580,6 @@ def _divergence(mean_loss: float, vector) -> str | None:
     return None
 
 
-def _check_training_bands(model: Model, X, name: str):
-    """What the forwards would reject, plus inf, for every architecture."""
-    if X.ndim != 2 or X.shape[1] != model.n_bands:
-        raise ValueError(f"model expects {model.n_bands} bands, got a {name} "
-                         f"set of shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError(f"{name} set contains non-finite values")
-    if model.nd_params is not None and (X < 0).any():
-        raise ValueError(NEGATIVE_INPUT_MESSAGE)
-
-
 def train(model: Model, train_set, val_set, config: TrainConfig):
     """Mini-batch Adam with early stopping on validation accuracy.
 
@@ -622,8 +601,8 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
     X_val, y_val = _dataset_arrays(val_set)
     if len(X_train) == 0 or len(X_val) == 0:
         raise ValueError("train and validation sets must be non-empty")
-    _check_training_bands(model, X_train, "training")
-    _check_training_bands(model, X_val, "validation")
+    _check_input(model, X_train, False, "training set")
+    _check_input(model, X_val, False, "validation set")
 
     rng = np.random.default_rng(config.seed)
     vector = model.vector

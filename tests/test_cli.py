@@ -195,6 +195,18 @@ class TestCrossvalCommand:
             "error: TrainingDiverged: fold 0: training diverged at epoch "), err
         assert not out.exists() or not os.listdir(out)
 
+    def test_non_finite_learning_rate_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["crossval", "--synth", str(spec_file(tmp_path)),
+                   "--lr", "nan", "--folds", "2", "--epochs", "3",
+                   "--patience", "3", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1, err
+        assert err[0].startswith("error: ValueError: "), err
+        assert "finite" in err[0]
+        assert not out.exists()
+
     def test_all_arch_depth_combinations_emit_reports(self, tmp_path):
         spec = spec_file(tmp_path, n_samples=60, seed=1)
         out = tmp_path / "matrix"

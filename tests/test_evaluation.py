@@ -17,7 +17,6 @@ from ndnet.evaluation import (
     report_to_dict,
     report_to_text,
     run_crossval,
-    sweep_csv_rows,
     top_asymmetric,
 )
 from ndnet.network import (
@@ -37,7 +36,7 @@ def constant_logit_model(logit, n_bands=3):
     """MLP whose head ignores the input and emits a fixed logit."""
     layer0 = DenseLayer(np.zeros((3, n_bands)), np.zeros(3), "relu")
     head = DenseLayer(np.zeros((1, 3)), np.array([float(logit)]), "identity")
-    return Model(arch="mlp", depth=3, n_bands=n_bands,
+    return Model(arch="mlp", depth=2, n_bands=n_bands,
                  band_names=[f"b{k}" for k in range(n_bands)], eps=1e-8,
                  nd_params=None, attn_weights=None, attn_bias=None,
                  layers=[layer0, head])
@@ -60,12 +59,13 @@ class TestAccuracy:
         assert accuracy(model, uniform_dataset(50, 3, label=0)) == 0.0
 
     def test_hand_built_four_sample_case(self):
-        # logits are x1 - x2 through an identity head; enumerate by hand:
-        # (.8,.2)->+ (.1,.6)->- (.5,.2)->+ (.3,.4)->-  vs labels 1,0,0,0
-        head = DenseLayer(np.array([[1.0, -1.0]]), np.zeros(1), "identity")
+        # logits are relu(x1 - x2) through an identity head; enumerate by
+        # hand: (.8,.2)->+ (.1,.6)->0 (.5,.2)->+ (.3,.4)->0  vs labels 1,0,0,0
+        first = DenseLayer(np.array([[1.0, -1.0]]), np.zeros(1), "relu")
+        head = DenseLayer(np.array([[1.0]]), np.zeros(1), "identity")
         model = Model(arch="mlp", depth=2, n_bands=2, band_names=["a", "b"],
                       eps=1e-8, nd_params=None, attn_weights=None,
-                      attn_bias=None, layers=[head])
+                      attn_bias=None, layers=[first, head])
         X = np.array([[0.8, 0.2], [0.1, 0.6], [0.5, 0.2], [0.3, 0.4]])
         ds = Dataset(["a", "b"], X, np.array([1, 0, 0, 0]))
         # predictions 1,0,1,0 -> three of four match
@@ -381,8 +381,6 @@ class TestRunCrossval:
         hist_rows = history_csv_rows(result.histories, "nd", 2, "val_accuracy")
         assert all(len(row) == 5 for row in hist_rows)
         assert {row[2] for row in hist_rows} == set(range(10))
-        sweep_rows = sweep_csv_rows(result.report)
-        assert len(sweep_rows) == 20  # 10 folds x 2 etas
 
 
 class TestFoldTestSplit:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ndnet.ndlayer import (
     NdParams,
     PairIndexer,
-    attention_gate,
-    attention_gate_backward,
+    _gate,
+    _gate_backward,
     nd_backward,
     nd_backward_signed,
     nd_backward_softplus,
@@ -19,6 +20,7 @@ from ndnet.ndlayer import (
     _pair_indexer,
 )
 from ndnet.ndmath import sigmoid, softplus
+from ndnet.network import build_model
 
 LN2 = math.log(2.0)
 
@@ -194,6 +196,13 @@ class TestNdForward:
     def test_nan_input_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             nd_forward([np.nan, 0.5], NdParams.zeros(1))
+
+    @pytest.mark.parametrize("forward", [nd_forward, nd_forward_signed])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_input_rejected(self, forward, value):
+        # unchecked, an infinite band comes out as NaN outputs
+        with pytest.raises(ValueError, match="non-finite"):
+            forward([value, 0.5], NdParams.zeros(1))
 
     def test_cache_matches_definitions(self, rng):
         bands = rng.uniform(0.01, 1.0, size=4)
@@ -455,7 +464,17 @@ class TestSoftplusVariant:
         assert worst < 1e-5
 
 
+def attention_gate(bands, weights, bias, nd_outputs):
+    """The gate core on a batch or on one row; returns (gated, cache)."""
+    single = np.ndim(bands) == 1
+    gated, cache = _gate(np.atleast_2d(bands), weights, bias,
+                         np.atleast_2d(nd_outputs))
+    return (gated[0] if single else gated), cache
+
+
 class TestAttentionGate:
+    """The gate cores that the attnd model runs."""
+
     def test_zero_weights_halve_outputs(self, rng):
         bands = rng.uniform(0.01, 1, size=4)
         nd_out, _ = nd_forward(bands, NdParams.zeros(6))
@@ -478,13 +497,13 @@ class TestAttentionGate:
         gated, _ = attention_gate(bands, W, c, nd_out)
         assert (np.abs(gated) <= 1.0).all()
 
-    def test_dimension_mismatch_raises(self, rng):
-        bands = rng.uniform(0.01, 1, size=4)
-        nd_out = np.zeros(6)
-        with pytest.raises(ValueError, match="attention weights"):
-            attention_gate(bands, np.zeros((5, 4)), np.zeros(6), nd_out)
-        with pytest.raises(ValueError, match="bias"):
-            attention_gate(bands, np.zeros((6, 4)), np.zeros(5), nd_out)
+    def test_dimension_mismatch_raises(self):
+        # the gate core checks nothing; the attnd model checks the shapes
+        model = build_model("attnd", 2, 4, seed=0)
+        with pytest.raises(ValueError, match="attn.weights"):
+            dataclasses.replace(model, attn_weights=np.zeros((5, 4)))
+        with pytest.raises(ValueError, match="attn.bias"):
+            dataclasses.replace(model, attn_bias=np.zeros(5))
 
     def test_gradients_match_finite_differences(self, rng):
         # objective: delta . (sigmoid(W b + c) * N(b)); checks W, c, bands,
@@ -507,12 +526,14 @@ class TestAttentionGate:
 
             nd_out, nd_cache = nd_forward(bands, params)
             gated, gate_cache = attention_gate(bands, W, c, nd_out)
-            attn = attention_gate_backward(gate_cache, delta)
-            ndg = nd_backward(nd_cache, attn.d_nd_outputs, params)
+            d_weights, d_bias = np.empty(W.shape), np.empty(c.shape)
+            d_nd, d_bands = _gate_backward(gate_cache, delta[None, :],
+                                           d_weights, d_bias)
+            ndg = nd_backward(nd_cache, d_nd[0], params)
             analytic = {
-                "W": attn.d_weights, "c": attn.d_bias,
+                "W": d_weights, "c": d_bias,
                 "alpha": ndg.d_alpha, "beta": ndg.d_beta,
-                "bands": attn.d_bands + ndg.d_input,
+                "bands": d_bands[0] + ndg.d_input,
             }
             arrays = {"W": W, "c": c, "alpha": params.alpha,
                       "beta": params.beta, "bands": bands}
