@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import asdict, dataclass, fields
 from importlib import resources as importlib_resources
 
 import numpy as np
@@ -120,17 +122,28 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        n = len(self.band_names)
-        if len(self.class0_mean) != n or len(self.class1_mean) != n:
-            raise ValueError("class means must match the band count")
-        if min(min(self.class0_mean), min(self.class1_mean)) <= 0:
-            raise ValueError("class mean spectra must be strictly positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-        if not (0 < self.gain_low <= self.gain_high):
-            raise ValueError("gain range must satisfy 0 < low <= high")
-        if self.n_samples < 2:
-            raise ValueError("need at least 2 samples")
+        if not (_is_int(self.n_samples) and self.n_samples >= 2):
+            raise ValueError(f"n_samples must be an integer >= 2, got "
+                             f"{self.n_samples!r}")
+        if not (isinstance(self.band_names, list)
+                and all(isinstance(name, str) for name in self.band_names)):
+            raise ValueError("band_names must be a list of strings")
+        for mean in (self.class0_mean, self.class1_mean):
+            if not (isinstance(mean, list) and len(mean) == self.n_bands):
+                raise ValueError("class means must be lists matching the band "
+                                 "count")
+            if not all(_is_real(v) and v > 0 for v in mean):
+                raise ValueError("class mean spectra must be strictly positive "
+                                 "finite reals")
+        if not (_is_real(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError("noise_sigma must be a nonnegative finite real")
+        if not (_is_real(self.gain_low) and _is_real(self.gain_high)
+                and 0 < self.gain_low <= self.gain_high):
+            raise ValueError("gain range must be finite reals with "
+                             "0 < low <= high")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got "
+                             f"{self.seed!r}")
 
     @property
     def n_bands(self) -> int:
@@ -138,24 +151,27 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthSpec":
-        fields = ("n_samples", "band_names", "class0_mean", "class1_mean",
-                  "noise_sigma", "gain_low", "gain_high", "seed")
-        missing = [k for k in fields if k not in doc]
+        if not isinstance(doc, dict):
+            raise DataFormatError("synthetic spec must be a JSON object")
+        names = [f.name for f in fields(cls)]
+        missing = [k for k in names if k not in doc]
         if missing:
             raise DataFormatError(f"synthetic spec missing fields: {missing}")
-        return cls(**{k: doc[k] for k in fields})
+        return cls(**{k: doc[k] for k in names})
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "band_names": list(self.band_names),
-            "class0_mean": list(self.class0_mean),
-            "class1_mean": list(self.class1_mean),
-            "noise_sigma": self.noise_sigma,
-            "gain_low": self.gain_low,
-            "gain_high": self.gain_high,
-            "seed": self.seed,
-        }
+        return asdict(self)
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real that float64 holds finitely (a huge int does not); not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,10 @@ def _central_diff(fn, array, flat_index, h=FD_STEP):
     return (f_plus - f_minus) / (2.0 * h)
 
 
+# Error families of the whole-model targets; every other array is "dense".
+_FAMILIES = {"nd.alpha": "alpha", "nd.beta": "beta", "attn.weights": "attention",
+             "attn.bias": "attention"}
+
 _LAYER_VARIANTS = {
     "ndlayer": (nd_forward, nd_backward, False),
     "ndlayer-signed": (nd_forward_signed, nd_backward_signed, True),
@@ -244,10 +248,27 @@ _LAYER_VARIANTS = {
 }
 
 
-def _gradcheck_layer(target, trials, tol, seed, eps):
+def _fd_check(objective, checks, worst, rng=None, max_coords=None):
+    """Record in ``worst`` each family's worst relative error of the
+    analytic gradients in the (family, array, analytic) ``checks`` against
+    central differences of ``objective``; ``max_coords`` caps the
+    coordinates checked per array, drawn by ``rng``."""
+    for family, array, analytic in checks:
+        worst.setdefault(family, 0.0)
+        coords = np.arange(array.size)
+        if max_coords is not None and array.size > max_coords:
+            coords = rng.choice(array.size, size=max_coords, replace=False)
+        for k in coords:
+            numeric = _central_diff(objective, array, int(k))
+            err = _rel_err(float(analytic.flat[int(k)]), numeric)
+            if err > worst[family]:
+                worst[family] = err
+
+
+def _gradcheck_layer(target, trials, seed, eps):
     forward, backward, signed = _LAYER_VARIANTS[target]
     rng = np.random.default_rng(seed)
-    worst = {"alpha": 0.0, "beta": 0.0, "input": 0.0}
+    worst = {}
     for _ in range(trials):
         n = int(rng.integers(2, 7))
         if signed:
@@ -270,30 +291,24 @@ def _gradcheck_layer(target, trials, tol, seed, eps):
             out, _ = forward(bands, params, eps)
             return float(delta @ out)
 
-        for family, analytic, array in (("alpha", grads.d_alpha, params.alpha),
-                                        ("beta", grads.d_beta, params.beta),
-                                        ("input", grads.d_input, bands)):
-            for k in range(array.size):
-                numeric = _central_diff(objective, array, k)
-                err = _rel_err(float(analytic.flat[k]), numeric)
-                if err > worst[family]:
-                    worst[family] = err
+        _fd_check(objective, [("alpha", params.alpha, grads.d_alpha),
+                              ("beta", params.beta, grads.d_beta),
+                              ("input", bands, grads.d_input)], worst)
     return worst
 
 
 def _random_model(arch, depth, n_bands, rng, eps):
+    """A built model with its pairwise and attention arrays redrawn."""
     model = net.build_model(arch, depth, n_bands, seed=int(rng.integers(2 ** 31)),
                             eps=eps)
-    if model.nd_params is not None:
-        model.nd_params.alpha[:] = rng.uniform(-1.0, 1.0, model.nd_params.alpha.shape)
-        model.nd_params.beta[:] = rng.uniform(-1.0, 1.0, model.nd_params.beta.shape)
-    if model.attn_weights is not None:
-        model.attn_weights[:] = rng.uniform(-0.5, 0.5, model.attn_weights.shape)
-        model.attn_bias[:] = rng.uniform(-0.5, 0.5, model.attn_bias.shape)
+    for name, array in zip(model.parameter_names(), model.parameters()):
+        if not name.startswith("dense"):
+            scale = 1.0 if name.startswith("nd.") else 0.5
+            array[...] = rng.uniform(-scale, scale, array.shape)
     return model
 
 
-def _gradcheck_model(arch, depth, trials, tol, seed, eps, max_coords):
+def _gradcheck_model(arch, depth, trials, seed, eps, max_coords):
     rng = np.random.default_rng(seed)
     worst = {}
     for _ in range(trials):
@@ -315,38 +330,11 @@ def _gradcheck_model(arch, depth, trials, tol, seed, eps, max_coords):
             logit, _ = net.model_forward(model, bands)
             return logit
 
-        named = list(zip(model.parameter_names(), model.parameters(), grads))
-        named.append(("input", bands, d_bands))
-        for name, array, analytic in named:
-            family = _param_family(name)
-            coords = np.arange(array.size)
-            if max_coords is not None and array.size > max_coords:
-                coords = rng.choice(array.size, size=max_coords, replace=False)
-            for k in coords:
-                numeric = _central_diff(objective, array, int(k))
-                err = _rel_err(float(np.asarray(analytic).flat[int(k)]), numeric)
-                if err > worst.get(family, 0.0):
-                    worst[family] = err
-    expected = ["dense", "input"]
-    if arch in ("nd", "attnd"):
-        expected += ["alpha", "beta"]
-    if arch == "attnd":
-        expected.append("attention")
-    for family in expected:
-        worst.setdefault(family, 0.0)
+        families = [_FAMILIES.get(name, "dense") for name in model.parameter_names()]
+        _fd_check(objective, zip(families + ["input"],
+                                 model.parameters() + [bands],
+                                 grads + [d_bands]), worst, rng, max_coords)
     return worst
-
-
-def _param_family(name: str) -> str:
-    if name == "input":
-        return "input"
-    if name.startswith("nd.alpha"):
-        return "alpha"
-    if name.startswith("nd.beta"):
-        return "beta"
-    if name.startswith("attn."):
-        return "attention"
-    return "dense"
 
 
 def gradcheck(target: str, depth: int = 3, trials: int = 100,
@@ -363,15 +351,16 @@ def gradcheck(target: str, depth: int = 3, trials: int = 100,
     """
     if target not in GRADCHECK_TARGETS:
         raise ValueError(f"unknown gradcheck target {target!r}")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (tolerance > 0 and np.isfinite(tolerance)):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     start = time.perf_counter()
     if target in _LAYER_VARIANTS:
-        worst = _gradcheck_layer(target, trials, tolerance, seed, eps)
+        worst = _gradcheck_layer(target, trials, seed, eps)
         report_depth = None
     else:
-        worst = _gradcheck_model(target, depth, trials, tolerance, seed, eps,
-                                 max_coords)
+        worst = _gradcheck_model(target, depth, trials, seed, eps, max_coords)
         report_depth = depth
     runtime = time.perf_counter() - start
     passed = all(err < tolerance for err in worst.values())

@@ -186,10 +186,11 @@ def _as_batch(x, name="input"):
 
 
 def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not (eps > 0 and np.isfinite(eps)):
+    """eps as a float; a bool is not an eps, though float(True) is 1.0."""
+    value = float(eps)
+    if isinstance(eps, (bool, np.bool_)) or not (value > 0 and np.isfinite(value)):
         raise ValueError(f"eps must be a positive finite real, got {eps}")
-    return eps
+    return value
 
 
 def _check_bands(batch, signed: bool, name: str = "input"):

@@ -10,19 +10,26 @@ Depth counts every layer including input and output: depth 2 is
 input -> first transform -> 1-logit head, each extra depth inserts one
 ReLU dense hidden layer of the pair-count width.
 
+Which arrays a model has is decided in one place, the cached private
+table ``_layout(arch, depth, n_bands)``: each array's name and shape in
+checkpoint order, the dense activations, and the allowed architectures
+and depths (an int in DEPTHS). ``build_model`` walks it to draw the
+initial values, a ``Model`` checks the arrays, activations and depth it
+is given against it, and ``parameter_names``, ``views`` and checkpoint
+loading read it.
+
 All training state is explicit. A model keeps every learnable scalar
 in one contiguous float64 vector, ``Model.vector``; the arrays that
-``Model.parameters()`` lists (in a documented, checkpoint order) are
-views of it. So one training step is one Adam update on that vector,
-with one pair of moment vectors, and the best-epoch snapshot and its
-restore are one copy each. The training loop is deterministic given
-TrainConfig.seed.
+``Model.parameters()`` lists (in the layout's order) are views of it.
+So one training step is one Adam update on that vector, with one pair
+of moment vectors, and the best-epoch snapshot and its restore are one
+copy each. The training loop is deterministic given TrainConfig.seed.
 
 Each formula lives in one private core that checks nothing
 (``_model_forward``/``_model_backward``, ``_dense_forward``/
 ``_dense_backward`` here, ``_forward``/``_backward`` and ``_gate``/
-``_gate_backward`` in ndlayer). A ``Model`` checks its array shapes when
-it is built, and ``_check_input`` decides which bands it accepts, for
+``_gate_backward`` in ndlayer). A ``Model`` checks its arrays when it
+is built, and ``_check_input`` decides which bands it accepts, for
 ``model_forward`` and ``train`` alike. ``train()`` validates its sets once
 and then runs the cores directly: per step it transforms the adjacent
 alpha|beta block once with softplus and once with sigmoid, writes every
@@ -33,7 +40,9 @@ reads.
 from __future__ import annotations
 
 import copy
+import functools
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -45,6 +54,7 @@ from .ndlayer import (
     _as_batch,
     _backward,
     _check_bands,
+    _check_eps,
     _forward,
     _gate,
     _gate_backward,
@@ -249,50 +259,46 @@ class Model:
     vector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.arch not in ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.arch!r}")
         if len(self.band_names) != self.n_bands:
             raise ValueError("band_names length must equal n_bands")
-        if not (self.eps > 0 and np.isfinite(self.eps)):
-            raise ValueError(f"eps must be a positive finite real, got {self.eps}")
-        self._check_shapes()
-        self.indexer = _pair_indexer(self.n_bands)
-        params = [np.asarray(p, dtype=np.float64) for p in self.parameters()]
-        self.vector = np.concatenate([p.ravel() for p in params])
-        # Rebind every learnable array as a view of its slice of the vector,
-        # on new holders, so the NdParams and layers passed in stay untouched.
-        views = iter(self.views(self.vector))
-        if self.nd_params is not None:
-            self.nd_params = NdParams(next(views), next(views))
-        if self.attn_weights is not None:
-            self.attn_weights, self.attn_bias = next(views), next(views)
-        self.layers = [DenseLayer(next(views), next(views), layer.activation)
-                       for layer in self.layers]
-
-    def _check_shapes(self):
-        """Every learnable array has the shape ``build_model`` gives it: the
-        forward cores check nothing, and a mismatch would broadcast."""
-        n_pairs = pair_count(self.n_bands)
-        expected = {}
-        if self.arch != "mlp":
-            expected.update({"nd.alpha": (n_pairs,), "nd.beta": (n_pairs,)})
-        if self.arch == "attnd":
-            expected.update({"attn.weights": (n_pairs, self.n_bands),
-                             "attn.bias": (n_pairs,)})
-        widths = [n_pairs] * (self.depth - 1) + [1]
-        if self.arch == "mlp":
-            widths.insert(0, self.n_bands)
-        for k in range(len(widths) - 1):
-            expected[f"dense{k}.weights"] = (widths[k + 1], widths[k])
-            expected[f"dense{k}.bias"] = (widths[k + 1],)
-        actual = dict(zip(self.parameter_names(),
-                          map(np.shape, self.parameters())))
-        for name in list(expected) + [n for n in actual if n not in expected]:
-            if actual.get(name, "none") != expected.get(name, "none"):
+        self.eps = _check_eps(self.eps)
+        shapes, activations = _layout(self.arch, self.depth, self.n_bands)
+        # The forward cores check nothing, and a misshapen array would
+        # broadcast, so every array must have the shape of its layout entry.
+        expected, arrays = dict(shapes), self._held()
+        held = {name: np.shape(array) for name, array in arrays}
+        for name in list(expected) + [n for n in held if n not in expected]:
+            if held.get(name, "none") != expected.get(name, "none"):
                 raise ValueError(
                     f"{self.arch} depth {self.depth} on {self.n_bands} bands: "
-                    f"{name} has shape {actual.get(name, 'none')}, expected "
+                    f"{name} has shape {held.get(name, 'none')}, expected "
                     f"{expected.get(name, 'none')}")
+        given = [layer.activation for layer in self.layers]
+        if given != list(activations):
+            raise ValueError(f"{self.arch} depth {self.depth}: activations "
+                             f"{given}, expected {list(activations)}")
+        self.indexer = _pair_indexer(self.n_bands)
+        self.vector = np.concatenate(
+            [np.asarray(array, dtype=np.float64).ravel() for _, array in arrays])
+        # Rebind every learnable array as a view of its slice of the vector,
+        # on new holders, so the NdParams and layers passed in stay untouched.
+        self._parameters = self.views(self.vector)
+        (self.nd_params, self.attn_weights, self.attn_bias,
+         self.layers) = _holders(shapes, self._parameters, activations)
+
+    def _held(self) -> list:
+        """(name, array) for every learnable array the fields hold."""
+        held = []
+        if self.nd_params is not None:
+            held += [("nd.alpha", self.nd_params.alpha),
+                     ("nd.beta", self.nd_params.beta)]
+        if self.attn_weights is not None:
+            held += [("attn.weights", self.attn_weights),
+                     ("attn.bias", self.attn_bias)]
+        for k, layer in enumerate(self.layers):
+            held += [(f"dense{k}.weights", layer.weights),
+                     (f"dense{k}.bias", layer.bias)]
+        return held
 
     def __reduce__(self):
         # Pickle and deepcopy rebuild through __init__, so the copy's arrays
@@ -300,54 +306,67 @@ class Model:
         return Model, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     def parameters(self) -> list:
-        """Learnable arrays in declared order (checkpoint order).
-
-        nd:    alpha, beta, then per dense layer weights, bias
-        attnd: alpha, beta, attention weights, attention bias, then dense
-        mlp:   per dense layer weights, bias
-
-        Each array is a view of ``vector``, which holds them in this order.
-        """
-        out = []
-        if self.nd_params is not None:
-            out.extend([self.nd_params.alpha, self.nd_params.beta])
-        if self.attn_weights is not None:
-            out.extend([self.attn_weights, self.attn_bias])
-        for layer in self.layers:
-            out.extend([layer.weights, layer.bias])
-        return out
+        """Learnable arrays in ``_layout`` (checkpoint) order, each a view of
+        ``vector``, which holds them in this order."""
+        return list(self._parameters)
 
     def parameter_names(self) -> list:
-        names = []
-        if self.nd_params is not None:
-            names.extend(["nd.alpha", "nd.beta"])
-        if self.attn_weights is not None:
-            names.extend(["attn.weights", "attn.bias"])
-        for k, _ in enumerate(self.layers):
-            names.extend([f"dense{k}.weights", f"dense{k}.bias"])
-        return names
+        shapes, _ = _layout(self.arch, self.depth, self.n_bands)
+        return [name for name, _ in shapes]
 
     def views(self, vector) -> list:
         """Views of a vector laid out like ``vector``, in parameters() order."""
         views, offset = [], 0
-        for p in self.parameters():
-            views.append(vector[offset:offset + np.size(p)].reshape(np.shape(p)))
-            offset += np.size(p)
+        for _, shape in _layout(self.arch, self.depth, self.n_bands)[0]:
+            size = math.prod(shape)
+            views.append(vector[offset:offset + size].reshape(shape))
+            offset += size
         return views
 
     def copy(self) -> "Model":
         return copy.deepcopy(self)
 
-    def set_parameters(self, values):
-        """Copy ``values`` (a parameters()-ordered list) into this model."""
-        own = self.parameters()
-        if len(own) != len(values):
-            raise ValueError("parameter list length mismatch")
-        for name, dst, src in zip(self.parameter_names(), own, values):
-            if dst.shape != src.shape:
-                raise ValueError(f"parameter {name} has shape {src.shape}, "
-                                 f"expected {dst.shape}")
-            dst[...] = src
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _layout(arch: str, depth: int, n_bands: int):
+    """The one table of which arrays an (arch, depth, n_bands) model has.
+
+    Returns ``(shapes, activations)``: a (name, shape) pair per array in
+    ``parameters()`` (checkpoint) order, and the dense activations, ReLU
+    on hidden layers and identity on the 1-logit head. The depth must be
+    an int in DEPTHS, not a bool or a float (the cache is typed, so 3.0
+    does not find the entry of 3).
+    """
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}; expected {ARCHITECTURES}")
+    if type(depth) is not int or depth not in DEPTHS:
+        raise ValueError(f"unsupported depth {depth!r}; expected one of {DEPTHS}")
+    n_pairs = pair_count(n_bands)
+    shapes = []
+    if arch != "mlp":
+        shapes += [("nd.alpha", (n_pairs,)), ("nd.beta", (n_pairs,))]
+    if arch == "attnd":
+        shapes += [("attn.weights", (n_pairs, n_bands)), ("attn.bias", (n_pairs,))]
+    widths = [n_pairs] * (depth - 1) + [1]
+    if arch == "mlp":
+        widths.insert(0, n_bands)
+    for k in range(len(widths) - 1):
+        shapes += [(f"dense{k}.weights", (widths[k + 1], widths[k])),
+                   (f"dense{k}.bias", (widths[k + 1],))]
+    activations = ("relu",) * (len(widths) - 2) + ("identity",)
+    return tuple(shapes), activations
+
+
+def _holders(shapes, arrays, activations):
+    """The Model fields nd_params, attn_weights, attn_bias and layers that
+    hold ``arrays``, given in the order of the layout ``shapes``."""
+    named = dict(zip((name for name, _ in shapes), arrays))
+    nd_params = None
+    if "nd.alpha" in named:
+        nd_params = NdParams(named["nd.alpha"], named["nd.beta"])
+    layers = [DenseLayer(named[f"dense{k}.weights"], named[f"dense{k}.bias"],
+                         activation) for k, activation in enumerate(activations)]
+    return nd_params, named.get("attn.weights"), named.get("attn.bias"), layers
 
 
 def default_band_names(n_bands: int) -> list:
@@ -365,43 +384,24 @@ def build_model(arch: str, depth: int, n_bands: int, seed: int = 0,
     uniform from [-1/sqrt(fan_in), +1/sqrt(fan_in)] in forward layer
     order; biases start at zero. Coupling coefficients start at zero
     (the classical symmetric index); attention gates start near the
-    uniform 0.5 gate (weights uniform in [-0.1, 0.1], bias zero).
+    uniform 0.5 gate (weights uniform in [-0.1, 0.1], bias zero). The
+    attention weights are drawn before the dense weights.
     """
-    if arch not in ARCHITECTURES:
-        raise ValueError(f"unknown architecture {arch!r}; expected {ARCHITECTURES}")
-    if depth not in DEPTHS:
-        raise ValueError(f"unsupported depth {depth}; expected one of {DEPTHS}")
+    shapes, activations = _layout(arch, depth, n_bands)
     if band_names is None:
         band_names = default_band_names(n_bands)
-
-    width = pair_count(n_bands)
     rng = np.random.default_rng(seed)
-
-    nd_params = None
-    attn_w = attn_c = None
-    layers = []
-    if arch in ("nd", "attnd"):
-        nd_params = NdParams.zeros(width)
-        if arch == "attnd":
-            attn_w = rng.uniform(-0.1, 0.1, size=(width, n_bands))
-            attn_c = np.zeros(width)
-    else:
-        layers.append(_init_dense(rng, width, n_bands, "relu"))
-
-    for _ in range(depth - 2):
-        layers.append(_init_dense(rng, width, width, "relu"))
-    layers.append(_init_dense(rng, 1, width, "identity"))
-
-    return Model(arch=arch, depth=depth, n_bands=n_bands,
-                 band_names=list(band_names), eps=float(eps),
-                 nd_params=nd_params, attn_weights=attn_w, attn_bias=attn_c,
-                 layers=layers)
-
-
-def _init_dense(rng, n_out: int, n_in: int, activation: str) -> DenseLayer:
-    bound = 1.0 / np.sqrt(n_in)
-    weights = rng.uniform(-bound, bound, size=(n_out, n_in))
-    return DenseLayer(weights, np.zeros(n_out), activation)
+    arrays = []
+    for name, shape in shapes:
+        if name == "attn.weights":
+            arrays.append(rng.uniform(-0.1, 0.1, size=shape))
+        elif name.endswith(".weights"):
+            bound = 1.0 / np.sqrt(shape[1])
+            arrays.append(rng.uniform(-bound, bound, size=shape))
+        else:
+            arrays.append(np.zeros(shape))
+    return Model(arch, depth, n_bands, list(band_names), eps,
+                 *_holders(shapes, arrays, activations))
 
 
 def count_params(model: Model) -> int:
@@ -701,30 +701,34 @@ def model_from_checkpoint_dict(doc: dict) -> Model:
     """Rebuild a model from a checkpoint document.
 
     Raises ValueError for a document of another format or version, missing
-    fields, parameter names or shapes that do not match the declared
-    architecture, non-finite values, or activations the architecture does
-    not have.
+    fields, a depth that is not an int in DEPTHS, parameter names or shapes
+    that do not match the declared architecture's layout, non-finite
+    values, activations the architecture does not have, or a bool eps.
     """
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not an ndnet checkpoint document")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}; "
+    version = doc.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version!r}; "
                          f"expected {CHECKPOINT_VERSION}")
     fields = ("arch", "depth", "band_names", "eps", "params", "activations")
     missing = [key for key in fields if key not in doc]
     if missing:
         raise ValueError(f"checkpoint lacks fields {missing}")
     band_names, params = doc["band_names"], doc["params"]
-    if not (isinstance(band_names, list) and isinstance(params, dict)
+    arch, depth = doc["arch"], doc["depth"]
+    if not (isinstance(arch, str) and isinstance(depth, int)
+            and isinstance(band_names, list) and isinstance(params, dict)
+            and all(isinstance(name, str) for name in band_names)
             and isinstance(doc["eps"], (int, float))):
-        raise ValueError("checkpoint band_names, params or eps malformed")
-    model = build_model(doc["arch"], doc["depth"], len(band_names), seed=0,
-                        eps=doc["eps"], band_names=band_names)
-    names = model.parameter_names()
+        raise ValueError("checkpoint arch, depth, band_names, params or eps "
+                         "malformed")
+    shapes, activations = _layout(arch, depth, len(band_names))
+    names = [name for name, _ in shapes]
     if set(params) != set(names):
         raise ValueError(
-            f"checkpoint parameters do not match {model.arch} depth "
-            f"{model.depth}: missing {sorted(set(names) - set(params))}, "
+            f"checkpoint parameters do not match {arch} depth {depth}: "
+            f"missing {sorted(set(names) - set(params))}, "
             f"unexpected {sorted(set(params) - set(names))}")
     values = []
     for name in names:
@@ -734,12 +738,11 @@ def model_from_checkpoint_dict(doc: dict) -> Model:
             raise ValueError(f"checkpoint parameter {name} is not numeric") from None
         if not np.isfinite(values[-1]).all():
             raise ValueError(f"checkpoint parameter {name} is not finite")
-    activations = [layer.activation for layer in model.layers]
-    if doc["activations"] != activations:
+    if doc["activations"] != list(activations):
         raise ValueError(f"checkpoint activations {doc['activations']!r} do not "
-                         f"match {model.arch} depth {model.depth}: {activations}")
-    model.set_parameters(values)  # raises on a shape mismatch
-    return model
+                         f"match {arch} depth {depth}: {list(activations)}")
+    return Model(arch, depth, len(band_names), band_names, doc["eps"],
+                 *_holders(shapes, values, activations))
 
 
 def load_checkpoint(path) -> Model:

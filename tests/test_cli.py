@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import json
 import os
 
@@ -7,7 +8,8 @@ import pytest
 
 from ndnet import cli
 from ndnet.cli import main
-from ndnet.data import SynthSpec, load_csv, save_csv, synth_generate
+from ndnet.data import (SynthSpec, default_synth_spec, load_csv, save_csv,
+                        synth_generate)
 from ndnet.network import build_model, checkpoint_to_json, save_checkpoint
 
 
@@ -111,6 +113,18 @@ class TestGradcheckCommand:
                    "2", "--tol", "1e-14", "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-3"],
+                                       ["--tol", "nan"], ["--tol", "inf"]])
+    def test_request_that_checks_nothing_is_one_error_line(self, flags, tmp_path,
+                                                           capsys):
+        out = tmp_path / "o"
+        rc = main(["gradcheck", "--arch", "nd", "--depth", "2", "--trials", "1",
+                   *flags, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ValueError: "), err
+        assert not out.exists()
 
     def test_unknown_arch_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -365,10 +379,14 @@ def _wrong_format(doc):
     doc["format"] = "something-else"
 
 
+def _float_depth(doc):
+    doc["depth"] = float(doc["depth"])
+
+
 class TestCheckpointValidation:
     @pytest.mark.parametrize("corrupt", [
         _drop_beta, _extra_param, _reshape_alpha, _nan_alpha, _version_99,
-        _bogus_activations, _wrong_format])
+        _bogus_activations, _wrong_format, _float_depth])
     def test_malformed_checkpoint_is_one_error_line(self, corrupt, tmp_path,
                                                     capsys):
         doc = json.loads(checkpoint_to_json(build_model("nd", 2, 10, seed=0)))
@@ -379,6 +397,48 @@ class TestCheckpointValidation:
         err = capsys.readouterr().err.splitlines()
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: ValueError: "), err
+
+
+# Each document field in turn is set to each of these JSON values.
+ODD_VALUES = ["x", 3.0, 2.5, True, None, [], {}, [1], -1, 0, float("nan"),
+              float("inf"), [["a"]], ["a"], 1e30]
+CHECKPOINT_FIELDS = ["format", "version", "arch", "depth", "band_names", "eps",
+                     "params", "activations"]
+
+
+def assert_success_or_one_error_line(rc, capsys):
+    err = capsys.readouterr().err.splitlines()
+    if rc == 0:
+        assert err == []
+    else:
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+class TestOneFieldMutations:
+    """A document with one odd field ends in exit 0, or in exit 1 with one
+    ``error:`` line: never a traceback."""
+
+    @pytest.mark.parametrize("value", ODD_VALUES, ids=json.dumps)
+    @pytest.mark.parametrize("field", [f.name for f in
+                                       dataclasses.fields(SynthSpec)])
+    def test_synth_spec(self, field, value, tmp_path, capsys):
+        doc = default_synth_spec().to_dict()
+        doc[field] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        rc = main(["synth", "--synth", str(spec), "--out", str(tmp_path / "o")])
+        assert_success_or_one_error_line(rc, capsys)
+
+    @pytest.mark.parametrize("value", ODD_VALUES, ids=json.dumps)
+    @pytest.mark.parametrize("field", CHECKPOINT_FIELDS)
+    def test_checkpoint(self, field, value, tmp_path, capsys):
+        doc = json.loads(checkpoint_to_json(build_model("nd", 3, 4, seed=0)))
+        doc[field] = value
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text(json.dumps(doc))
+        rc = main(["coeffs", str(ckpt), "--out", str(tmp_path / "o")])
+        assert_success_or_one_error_line(rc, capsys)
 
 
 class TestParallelFolds:

@@ -286,6 +286,16 @@ class TestGradcheck:
         with pytest.raises(ValueError, match="tolerance"):
             gradcheck("ndlayer", tolerance=0.0)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            gradcheck("nd", depth=2, trials=trials)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_tolerance_must_be_finite(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            gradcheck("ndlayer", trials=1, tolerance=tolerance)
+
     def test_whole_model_families(self):
         report = gradcheck("attnd", depth=2, trials=3, tolerance=1e-4, seed=1)
         assert report.passed

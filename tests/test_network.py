@@ -370,6 +370,32 @@ class TestModelShapes:
         with pytest.raises(ValueError, match="nd.alpha has shape"):
             dataclasses.replace(build_model("mlp", 2, 4, seed=0), **change)
 
+    def test_hidden_identity_layer_rejected(self):
+        # its checkpoint would not load: the layout's hidden layers are ReLU
+        nd = build_model("nd", 3, 4, seed=0)
+        layers = [DenseLayer(layer.weights, layer.bias, "identity")
+                  for layer in nd.layers]
+        with pytest.raises(ValueError, match="activations"):
+            dataclasses.replace(nd, layers=layers)
+
+    def test_depth_outside_depths_rejected(self):
+        # four dense layers after the nd layer are depth 5's shapes
+        nd = build_model("nd", 4, 4, seed=0)
+        assert len(nd.layers) == 3
+        with pytest.raises(ValueError, match="unsupported depth 5"):
+            dataclasses.replace(nd, depth=5, layers=nd.layers[:1] + nd.layers)
+
+    @pytest.mark.parametrize("depth", [3.0, True])
+    def test_depth_must_be_an_int(self, depth):
+        with pytest.raises(ValueError, match="depth"):
+            build_model("nd", depth, 4)
+        with pytest.raises(ValueError, match="depth"):
+            dataclasses.replace(build_model("nd", 3, 4), depth=depth)
+
+    def test_boolean_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps"):
+            build_model("nd", 2, 4, eps=True)
+
     @pytest.mark.parametrize("arch", ["nd", "attnd", "mlp"])
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_rebuilt_models_are_accepted(self, arch, depth):
@@ -830,6 +856,56 @@ class TestCheckpoints:
         with np.errstate(all="ignore"):
             np.testing.assert_array_equal(model_forward(loaded, X)[0],
                                           model_forward(model, X)[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(arch=st.sampled_from(["nd", "mlp", "attnd"]),
+           depth=st.sampled_from([2, 3, 4, 5, 3.0, True]),
+           extra_layers=st.sampled_from([0, 0, 0, -1, 1]),
+           flip=st.sampled_from([None, None, None, 0, 1, 2]),
+           n_bands=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_model_that_builds_round_trips(self, arch, depth, extra_layers,
+                                                 flip, n_bands, seed):
+        # near-layout models: any depth label, one dense layer more or
+        # fewer than the label implies, one activation flipped
+        rng = np.random.default_rng(seed)
+        n_pairs = n_bands * (n_bands - 1) // 2
+        n_layers = max(1, int(depth) - (arch != "mlp") + extra_layers)
+        activations = ["relu"] * (n_layers - 1) + ["identity"]
+        if flip is not None and flip < n_layers:
+            activations[flip] = {"relu": "identity", "identity": "relu"}[
+                activations[flip]]
+        widths = ([n_bands if arch == "mlp" else n_pairs]
+                  + [n_pairs] * (n_layers - 1) + [1])
+        layers = [DenseLayer(rng.standard_normal((widths[k + 1], widths[k])),
+                             rng.standard_normal(widths[k + 1]), activations[k])
+                  for k in range(n_layers)]
+        nd_params = attn_weights = attn_bias = None
+        if arch != "mlp":
+            nd_params = NdParams(rng.standard_normal(n_pairs),
+                                 rng.standard_normal(n_pairs))
+        if arch == "attnd":
+            attn_weights = rng.standard_normal((n_pairs, n_bands))
+            attn_bias = rng.standard_normal(n_pairs)
+        try:
+            model = Model(arch, depth, n_bands, [f"b{k}" for k in range(n_bands)],
+                          1e-8, nd_params, attn_weights, attn_bias, layers)
+        except ValueError:
+            return
+        loaded = model_from_checkpoint_dict(json.loads(checkpoint_to_json(model)))
+        assert (loaded.arch, loaded.depth, loaded.n_bands, loaded.band_names,
+                loaded.eps) == (arch, depth, n_bands, model.band_names, 1e-8)
+        assert ([layer.activation for layer in loaded.layers]
+                == [layer.activation for layer in model.layers])
+        assert np.array_equal(loaded.vector, model.vector)
+
+    @pytest.mark.parametrize("field,value", [
+        ("eps", True), ("version", True), ("depth", 3.0),
+        ("band_names", [1, None, [2], "b"])])
+    def test_mistyped_fields_rejected(self, field, value):
+        doc = json.loads(checkpoint_to_json(build_model("nd", 3, 4, seed=0)))
+        doc[field] = value
+        with pytest.raises(ValueError):
+            model_from_checkpoint_dict(doc)
 
     def test_non_checkpoint_document_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"
