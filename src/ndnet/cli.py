@@ -317,10 +317,16 @@ def cmd_noise(args) -> int:
             doc = json.load(fh)
         model = net.model_from_checkpoint_dict(doc)
         ckpt_meta = doc.get("meta", {})
+        if not isinstance(ckpt_meta, dict):
+            raise ValueError(f"{path}: checkpoint meta must be an object")
         if {"fold", "split_seed", "n_folds"} <= ckpt_meta.keys():
-            split = data_mod.SplitSpec(n_folds=int(ckpt_meta["n_folds"]),
-                                       seed=int(ckpt_meta["split_seed"]))
-            fold = int(ckpt_meta["fold"])
+            fold, seed, n_folds = (ckpt_meta[key]
+                                   for key in ("fold", "split_seed", "n_folds"))
+            if not all(map(data_mod._is_int, (fold, seed, n_folds))):
+                raise ValueError(f"{path}: checkpoint meta fold, split_seed and "
+                                 "n_folds must be integers")
+            # SplitSpec wants n_folds >= 2, the split 0 <= fold < n_folds.
+            split = data_mod.SplitSpec(n_folds=n_folds, seed=seed)
             test_set = ev.fold_test_split(dataset, split, fold)
         else:
             fold = -1  # evaluated on the full dataset

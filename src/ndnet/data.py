@@ -9,6 +9,7 @@ splitting are deterministic functions of their seeds.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import numbers
 import sys
@@ -180,11 +181,20 @@ def _is_real(value) -> bool:
 LABEL_COLUMN = "label"
 
 
+# Data rows that ``load_csv`` converts at a time. Their cell strings are all
+# it holds besides the values already converted, so reading a large scene
+# does not hold every cell of it as a Python string at once.
+_CSV_BLOCK_ROWS = 512
+
+
 def load_csv(path) -> Dataset:
     """Read a dataset CSV; header is band names then ``label``.
 
     Violations raise DataFormatError naming the offending 1-based row
-    (header is row 1) and column.
+    (header is row 1) and column. Rows are read in blocks of
+    ``_CSV_BLOCK_ROWS``; each block's cells are converted by ``float`` in
+    one pass and checked array-wide, and only a block that fails a check is
+    walked cell by cell, to name its first bad cell.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -197,44 +207,75 @@ def load_csv(path) -> Dataset:
                 f"{path}: header must name at least one band followed by "
                 f"'{LABEL_COLUMN}', got {header!r}"
             )
-        band_names = header[:-1]
-        rows, labels = [], []
-        for row_num, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+        blocks, labels = [], []
+        while True:
+            first_row, rows = 2 + len(labels), []
+            try:
+                rows.extend(itertools.islice(reader, _CSV_BLOCK_ROWS))
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                # a bad cell in an earlier row comes first
+                _raise_first_bad_cell(path, header, rows, first_row)
                 raise DataFormatError(
-                    f"{path}: row {row_num} has {len(row)} cells, expected "
-                    f"{len(header)}"
-                )
-            values = []
-            for col, cell in zip(band_names, row[:-1]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: row {row_num}, column {col!r}: "
-                        f"non-numeric cell {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise DataFormatError(
-                        f"{path}: row {row_num}, column {col!r}: "
-                        f"non-finite value {cell!r}"
-                    )
-                if value < 0:
-                    raise DataFormatError(
-                        f"{path}: row {row_num}, column {col!r}: "
-                        f"negative reflectance {cell!r}"
-                    )
-                values.append(value)
-            if row[-1] not in ("0", "1"):
-                raise DataFormatError(
-                    f"{path}: row {row_num}, column '{LABEL_COLUMN}': "
-                    f"label must be 0 or 1, got {row[-1]!r}"
-                )
-            rows.append(values)
-            labels.append(int(row[-1]))
-    if not rows:
+                    f"{path}: row {first_row + len(rows)}: {exc}") from None
+            if not rows:
+                break
+            blocks.append(_block_values(path, header, rows, first_row))
+            labels += [row[-1] == "1" for row in rows]
+    if not labels:
         raise DataFormatError(f"{path}: no data rows")
-    return Dataset(band_names, np.array(rows), np.array(labels))
+    return Dataset(header[:-1], np.concatenate(blocks), labels)
+
+
+def _block_values(path, header, rows, first_row):
+    """The (rows, bands) values of consecutive data rows, the first of them
+    row ``first_row`` of the file; raises for the first bad cell."""
+    X = None
+    if all(len(row) == len(header) for row in rows):
+        cells = [cell for row in rows for cell in row[:-1]]
+        try:
+            X = np.fromiter(map(float, cells), np.float64, len(cells))
+        except ValueError:
+            pass
+    if (X is None or not np.isfinite(X).all() or (X < 0).any()
+            or not all(row[-1] in ("0", "1") for row in rows)):
+        _raise_first_bad_cell(path, header, rows, first_row)
+    return X.reshape(len(rows), len(header) - 1)
+
+
+def _raise_first_bad_cell(path, header, rows, first_row):
+    """Raise DataFormatError for the first of ``rows`` (file rows
+    ``first_row`` on) that has the wrong cell count, a non-numeric,
+    non-finite or negative band value, or a label other than 0 or 1;
+    return if there is none."""
+    for row_num, row in enumerate(rows, start=first_row):
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: row {row_num} has {len(row)} cells, expected "
+                f"{len(header)}"
+            )
+        for col, cell in zip(header[:-1], row[:-1]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: row {row_num}, column {col!r}: "
+                    f"non-numeric cell {cell!r}"
+                ) from None
+            if not np.isfinite(value):
+                raise DataFormatError(
+                    f"{path}: row {row_num}, column {col!r}: "
+                    f"non-finite value {cell!r}"
+                )
+            if value < 0:
+                raise DataFormatError(
+                    f"{path}: row {row_num}, column {col!r}: "
+                    f"negative reflectance {cell!r}"
+                )
+        if row[-1] not in ("0", "1"):
+            raise DataFormatError(
+                f"{path}: row {row_num}, column '{LABEL_COLUMN}': "
+                f"label must be 0 or 1, got {row[-1]!r}"
+            )
 
 
 def save_csv(dataset: Dataset, path):

@@ -315,15 +315,17 @@ def _gradcheck_model(arch, depth, trials, seed, eps, max_coords):
         for _attempt in range(200):
             model = _random_model(arch, depth, 10, rng, eps)
             bands = rng.uniform(0.01, 1.0, size=10)
-            _, cache = net.model_forward(model, bands)
+            _, probe = net._model_forward(model, bands[None, :],
+                                          net._coefficients(model, softplus))
             # FD perturbations must not cross a ReLU kink mid-check.
             if all(np.abs(dense.pre).min() >= RELU_KINK_MARGIN
-                   for layer, dense in zip(model.layers, cache.dense)
+                   for layer, dense in zip(model.layers, probe.dense)
                    if layer.activation == "relu"):
                 break
         else:
             raise RuntimeError("could not sample a kink-free configuration")
 
+        _, cache = net.model_forward(model, bands)
         grads, d_bands = net.model_backward(model, cache, 1.0)
 
         def objective():

@@ -35,6 +35,15 @@ and then runs the cores directly: per step it transforms the adjacent
 alpha|beta block once with softplus and once with sigmoid, writes every
 gradient into one preallocated vector and skips the input gradient nobody
 reads.
+
+Scoring keeps no per-pair array: ``model_forward`` and ``train()``'s
+validation pass run ``_model_forward`` over fixed row blocks
+(``_model_logits``, about ``_BLOCK_ELEMENTS`` floats per block array) and
+drop each block's intermediates, so memory is O(block x pairs) however many
+rows are scored. The cache ``model_forward`` returns holds only the
+validated batch, not a copy; ``model_backward`` replays the forward on it
+with the model's current parameters, so neither the bands nor the
+parameters may change between the two calls.
 """
 
 from __future__ import annotations
@@ -411,11 +420,28 @@ def count_params(model: Model) -> int:
 
 @dataclass
 class ModelCache:
+    """What ``_model_backward`` reads: every intermediate of one forward."""
+
     first: object  # NdCache for nd archs, else None
     gate: object  # AttentionCache for attnd, else None
     dense: list  # DenseCache per dense layer
     signed: bool
-    single: bool = False
+
+
+@dataclass
+class ReplayCache:
+    """What ``model_backward`` needs to replay a ``model_forward``: the
+    validated batch (the caller's array when it already was a 2-d float64
+    one, not a copy) and how it was scored."""
+
+    batch: np.ndarray  # (rows, n_bands)
+    signed: bool
+    single: bool
+
+
+# Float64 elements per scoring block array (512 KB); ``_model_logits``
+# sizes its row blocks by it.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _coefficients(model: Model, fn):
@@ -448,6 +474,27 @@ def _model_forward(model: Model, batch, coeffs, signed: bool = False):
         x, cache = _dense_forward(layer, x)
         dense.append(cache)
     return x[:, 0], ModelCache(first, gate, dense, signed)
+
+
+def _model_logits(model: Model, batch, coeffs, signed: bool = False):
+    """Logits of a 2-d batch, scored by ``_model_forward`` in consecutive
+    blocks of at most ``_BLOCK_ELEMENTS // width`` rows; no cache is kept.
+
+    ``width`` is the widest per-row activation, the pair count (the mlp
+    hidden width too) or the band count. A batch that fits one block goes
+    straight through. Rows are scored independently; only the matrix
+    products may round differently for another row count. Nothing is
+    checked.
+    """
+    rows = max(1, _BLOCK_ELEMENTS // max(pair_count(model.n_bands),
+                                         model.n_bands))
+    if len(batch) <= rows:
+        return _model_forward(model, batch, coeffs, signed)[0]
+    logits = np.empty(len(batch))
+    for start in range(0, len(batch), rows):
+        logits[start:start + rows] = _model_forward(
+            model, batch[start:start + rows], coeffs, signed)[0]
+    return logits
 
 
 def _model_backward(model: Model, cache: ModelCache, d_logit, sigmas, grads,
@@ -495,32 +542,37 @@ def model_forward(model: Model, bands, signed: bool = False):
     ``signed=True`` routes an nd/attnd first layer through the
     smooth-absolute-value forward so inputs may be negative (used when
     evaluating noise-perturbed data); the plain forward rejects negatives.
+    The rows are scored in fixed blocks (``_model_logits``), and the cache
+    keeps only the validated batch, so no per-pair array outlives the call.
     """
     batch, single = _as_batch(bands, "bands")
     _check_input(model, batch, signed, "input")
-    logit, cache = _model_forward(model, batch, _coefficients(model, softplus),
-                                  signed)
-    cache.single = single
-    return (float(logit[0]) if single else logit), cache
+    logit = _model_logits(model, batch, _coefficients(model, softplus), signed)
+    return (float(logit[0]) if single else logit), ReplayCache(batch, signed,
+                                                               single)
 
 
-def model_backward(model: Model, cache: ModelCache, d_logit):
+def model_backward(model: Model, cache: ReplayCache, d_logit):
     """Gradients for every learnable array plus the input bands.
 
-    Returns (grads, d_bands) with ``grads`` ordered like
-    ``model.parameters()``; they are views of one fresh vector laid out
-    like ``model.vector``.
+    Replays the forward on the cached batch with the model's current
+    parameters, so neither the bands passed to ``model_forward`` nor the
+    parameters may change between the two calls. Returns (grads, d_bands)
+    with ``grads`` ordered like ``model.parameters()``; they are views of
+    one fresh vector laid out like ``model.vector``.
     """
     delta = np.asarray(d_logit, dtype=np.float64)
     if cache.single:
         delta = np.atleast_1d(delta)
-    rows = cache.dense[-1].pre.shape[0]
+    rows = len(cache.batch)
     if delta.shape != (rows,):
         raise ValueError(
             f"d_logit shape {delta.shape} does not match the {rows} cached rows"
         )
+    _, forward = _model_forward(model, cache.batch,
+                                _coefficients(model, softplus), cache.signed)
     grads = model.views(np.empty_like(model.vector))
-    d_bands = _model_backward(model, cache, delta,
+    d_bands = _model_backward(model, forward, delta,
                               _coefficients(model, sigmoid), grads)
     return grads, (d_bands[0] if cache.single else d_bands)
 
@@ -636,8 +688,7 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
             raise TrainingDiverged(
                 f"training diverged at epoch {epoch}: {problem}", epoch)
 
-        val_logits, _ = _model_forward(model, X_val,
-                                       _coefficients(model, softplus))
+        val_logits = _model_logits(model, X_val, _coefficients(model, softplus))
         val_losses, _ = bce_with_logits(val_logits, y_val)
         val_acc = accuracy_from_logits(val_logits, y_val)
 

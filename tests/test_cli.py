@@ -440,6 +440,25 @@ class TestOneFieldMutations:
         rc = main(["coeffs", str(ckpt), "--out", str(tmp_path / "o")])
         assert_success_or_one_error_line(rc, capsys)
 
+    @pytest.mark.parametrize("value", ODD_VALUES, ids=json.dumps)
+    @pytest.mark.parametrize("field", ["meta", "meta.fold", "meta.split_seed",
+                                       "meta.n_folds"])
+    def test_checkpoint_meta(self, field, value, tmp_path, capsys):
+        meta = {"fold": 0, "split_seed": 1, "n_folds": 2}
+        if field == "meta":
+            meta = value
+        else:
+            meta[field.split(".")[1]] = value
+        model = build_model("nd", 2, 10, seed=0,
+                            band_names=[f"b{k}" for k in range(10)])
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(model, ckpt, meta=meta)
+        rc = main(["noise", str(ckpt), "--synth", str(spec_file(tmp_path)),
+                   "--etas", "0", "--out", str(tmp_path / "o")])
+        assert_success_or_one_error_line(rc, capsys)
+        if field != "meta" and type(value) is not int:
+            assert rc == 1  # a bool or a float such as 3.0 is not a fold number
+
 
 class TestParallelFolds:
     def test_nd_threads_reproduces_serial_report(self, tmp_path):

@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ndnet import data
 from ndnet.data import (
     DataFormatError,
     Dataset,
@@ -75,6 +78,79 @@ class TestLoadCsv:
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.y, ds.y)
         assert back.band_names == ds.band_names
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=6).flatmap(
+               lambda n_bands: st.lists(
+                   st.tuples(st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                                      min_size=n_bands, max_size=n_bands),
+                             st.integers(0, 1)),
+                   min_size=1, max_size=30)))
+    def test_round_trip_property(self, tmp_path_factory, rows):
+        X = np.array([values for values, _ in rows])
+        y = np.array([label for _, label in rows])
+        ds = Dataset([f"b{k}" for k in range(X.shape[1])], X, y)
+        path = tmp_path_factory.mktemp("csv") / "round.csv"
+        save_csv(ds, path)
+        back = load_csv(path)
+        assert np.array_equal(back.X.view(np.uint64), X.view(np.uint64))
+        assert np.array_equal(back.y, y) and back.y.dtype == np.int64
+        assert back.X.shape == X.shape
+
+    @pytest.mark.parametrize("cells, message", [
+        ("0.1,zz,0\n0.1,0.2,0,9\n", "row 3, column 'b2': non-numeric cell 'zz'"),
+        ("0.1,nan,0\n", "row 3, column 'b2': non-finite value 'nan'"),
+        ("-0.0,1e999,1\n", "row 3, column 'b2': non-finite value '1e999'"),
+        ("-1,x,1\n", "row 3, column 'b1': negative reflectance '-1'"),
+        ("0.1,0.2,1.0\n-1,0,0\n",
+         "row 3, column 'label': label must be 0 or 1, got '1.0'"),
+        ("0.1,0.2\n0.1,zz,0\n", "row 3 has 2 cells, expected 3"),
+        ("0.1,0.2,0\n", None),
+    ])
+    def test_first_bad_cell_in_file_order(self, tmp_path, cells, message):
+        # row 2 is good; the first bad cell wins over any later one
+        path = write(tmp_path, "b1,b2,label\n0.5,0.5,1\n" + cells)
+        if message is None:
+            assert load_csv(path).n_samples == 2
+        else:
+            with pytest.raises(DataFormatError) as info:
+                load_csv(path)
+            assert str(info.value) == f"{path}: {message}"
+
+    def test_bad_cell_named_before_an_oversized_field(self, tmp_path):
+        big = "1" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, f"b1,b2,label\n0.1,zz,0\n0.1,{big},0\n")
+        with pytest.raises(DataFormatError, match="row 2, column 'b2'"):
+            load_csv(path)
+
+    def test_blocks_join_in_file_order(self, tmp_path, rng):
+        n = 2 * data._CSV_BLOCK_ROWS + 17
+        ds = Dataset(["b1", "b2"], rng.uniform(0, 1, (n, 2)),
+                     rng.integers(0, 2, n))
+        save_csv(ds, tmp_path / "big.csv")
+        back = load_csv(tmp_path / "big.csv")
+        assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0.1,-2,1", "column 'b2': negative reflectance '-2'"),
+        ("0.1,0.2,0,5", "has 4 cells, expected 3"),
+        ("0.1," + "1" * (csv.field_size_limit() + 1) + ",0",
+         ": field larger than field limit"),
+    ])
+    def test_bad_row_in_a_later_block_named_by_file_row(self, tmp_path, bad,
+                                                        message):
+        index = data._CSV_BLOCK_ROWS + 5  # 0-based data row; file row + 2
+        lines = ["0.1,0.2,0"] * (index + 10)
+        lines[index] = bad
+        path = write(tmp_path, "b1,b2,label\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value).startswith(f"{path}: row {index + 2}")
+        assert message in str(info.value)
+
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        with pytest.raises(DataFormatError, match="no data rows"):
+            load_csv(write(tmp_path, "b1,b2,label\n"))
 
 
 class TestDatasetContainer:

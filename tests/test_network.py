@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ndnet import network as net
 from ndnet.data import Dataset
-from ndnet.ndlayer import NdParams, nd_forward
+from ndnet.ndlayer import NdParams, nd_forward, pair_count
 from ndnet.ndmath import sigmoid, softplus
 from ndnet.network import (
     DIVERGENCE_LOSS,
@@ -673,6 +674,86 @@ class TestTrainingCore:
         _, cache = model_forward(model, rng.uniform(0.1, 1.0, (5, 4)))
         with pytest.raises(ValueError, match="5 cached rows"):
             model_backward(model, cache, np.ones(4))
+
+
+def block_rows(n_bands):
+    """Rows per scoring block of a model on ``n_bands`` bands."""
+    return net._BLOCK_ELEMENTS // max(pair_count(n_bands), n_bands)
+
+
+class TestBlockedScoring:
+    """model_forward scores fixed row blocks and keeps no per-pair array."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(arch=st.sampled_from(net.ARCHITECTURES),
+           depth=st.sampled_from(net.DEPTHS), signed=st.booleans(),
+           n_bands=st.sampled_from([2, 10, 32]),
+           blocks=st.floats(min_value=0.0, max_value=3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_logits_are_the_core_over_blocks(self, arch, depth, signed, n_bands,
+                                             blocks, seed):
+        rng = np.random.default_rng(seed)
+        model = build_model(arch, depth, n_bands, seed=seed)
+        model.vector[:] += rng.normal(0.0, 0.3, model.vector.size)
+        block = block_rows(n_bands)
+        rows = max(1, round(blocks * block))
+        X = rng.uniform(-0.5 if signed else 0.01, 1.0, size=(rows, n_bands))
+        logits, _ = model_forward(model, X, signed=signed)
+        coeffs = net._coefficients(model, softplus)
+        pieces = [net._model_forward(model, X[start:start + block], coeffs,
+                                     signed)[0]
+                  for start in range(0, rows, block)]
+        assert np.array_equal(logits, np.concatenate(pieces))
+        whole, _ = net._model_forward(model, X, coeffs, signed)
+        if rows <= block:
+            assert np.array_equal(logits, whole)
+        else:
+            assert np.abs(logits - whole).max() <= 1e-12 * np.abs(whole).max()
+
+    @pytest.mark.parametrize("arch", net.ARCHITECTURES)
+    def test_backward_after_blocked_forward_equals_core(self, arch, rng):
+        model = build_model(arch, 3, 10, seed=3)
+        model.vector[:] += rng.normal(0.0, 0.3, model.vector.size)
+        X = rng.uniform(-0.5, 1.0, size=(2 * block_rows(10) + 7, 10))
+        d_logit = rng.normal(size=len(X))
+        _, cache = model_forward(model, X, signed=True)
+        assert cache.batch is X  # the cache references the batch, no copy
+        grads, d_bands = model_backward(model, cache, d_logit)
+
+        _, core = net._model_forward(model, X, net._coefficients(model, softplus),
+                                     True)
+        grad = np.empty_like(model.vector)
+        core_bands = net._model_backward(model, core, d_logit,
+                                         net._coefficients(model, sigmoid),
+                                         model.views(grad))
+        assert np.array_equal(grad, np.concatenate([g.ravel() for g in grads]))
+        assert np.array_equal(d_bands, core_bands)
+
+    def test_cache_holds_only_the_batch(self, rng):
+        model = build_model("attnd", 2, 4, seed=0)
+        bands = rng.uniform(0.1, 1.0, 4)
+        _, cache = model_forward(model, bands)
+        assert [f.name for f in dataclasses.fields(cache)] == ["batch", "signed",
+                                                               "single"]
+        assert np.shares_memory(cache.batch, bands) and cache.single
+
+    def test_scoring_memory_stays_within_blocks(self):
+        # 20,000 rows x 45 pairs: every whole-batch per-pair array is 7.2 MB,
+        # a block array 0.5 MB; the batch itself (1.6 MB) is not traced.
+        model = build_model("attnd", 4, 10, seed=0)
+        X = np.random.default_rng(0).uniform(-0.2, 1.0, size=(20000, 10))
+        bound = 8_000_000
+        tracemalloc.start()
+        try:
+            model_forward(model, X, signed=True)
+            _, blocked_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            net._model_forward(model, X, net._coefficients(model, softplus), True)
+            _, whole_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert blocked_peak < bound
+        assert whole_peak > 10 * bound
 
 
 class TestTrainingEntryChecks:
