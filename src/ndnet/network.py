@@ -481,15 +481,12 @@ def _model_logits(model: Model, batch, coeffs, signed: bool = False):
     blocks of at most ``_BLOCK_ELEMENTS // width`` rows; no cache is kept.
 
     ``width`` is the widest per-row activation, the pair count (the mlp
-    hidden width too) or the band count. A batch that fits one block goes
-    straight through. Rows are scored independently; only the matrix
-    products may round differently for another row count. Nothing is
-    checked.
+    hidden width too) or the band count. Rows are scored independently;
+    only the matrix products may round differently for another row count.
+    Nothing is checked.
     """
     rows = max(1, _BLOCK_ELEMENTS // max(pair_count(model.n_bands),
                                          model.n_bands))
-    if len(batch) <= rows:
-        return _model_forward(model, batch, coeffs, signed)[0]
     logits = np.empty(len(batch))
     for start in range(0, len(batch), rows):
         logits[start:start + rows] = _model_forward(
