@@ -3,10 +3,25 @@
 Everything reported here is deterministic given the seeds carried in the
 inputs and re-uses one fixed noise realization per (seed, eta), so
 architecture comparisons at a given noise level are paired.
+
+The whole-model gradient checks take the analytic side from the public
+``model_forward``/``model_backward``. Their central differences replay
+only the layers downstream of the perturbed array, through the same
+private cores: a dense layer's arrays replay that layer and the ones
+after it from the input it was given, the attention gate's arrays replay
+the gate on the cached pair outputs and then every dense layer, and the
+pairwise coefficients and the input replay the whole forward. This is
+exact, not an approximation. The stages before the perturbed array see
+unperturbed parameters and the same row, so their outputs are the bits
+that one unperturbed ``_model_forward`` on the row kept; and a one-row
+``model_forward`` is one ``_model_forward`` call on that row. So every
+logit, central difference and ``GradcheckReport`` is the one that a full
+``model_forward`` per evaluation gives, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -16,6 +31,7 @@ from . import data as data_mod
 from . import network as net
 from .ndlayer import (
     NdParams,
+    _gate,
     _pair_indexer,
     nd_backward,
     nd_backward_signed,
@@ -248,12 +264,13 @@ _LAYER_VARIANTS = {
 }
 
 
-def _fd_check(objective, checks, worst, rng=None, max_coords=None):
+def _fd_check(checks, worst, rng=None, max_coords=None):
     """Record in ``worst`` each family's worst relative error of the
-    analytic gradients in the (family, array, analytic) ``checks`` against
-    central differences of ``objective``; ``max_coords`` caps the
-    coordinates checked per array, drawn by ``rng``."""
-    for family, array, analytic in checks:
+    analytic gradients in the (family, array, analytic, objective)
+    ``checks`` against central differences of ``objective`` in ``array``;
+    ``max_coords`` caps the coordinates checked per array, drawn by
+    ``rng``."""
+    for family, array, analytic, objective in checks:
         worst.setdefault(family, 0.0)
         coords = np.arange(array.size)
         if max_coords is not None and array.size > max_coords:
@@ -291,9 +308,9 @@ def _gradcheck_layer(target, trials, seed, eps):
             out, _ = forward(bands, params, eps)
             return float(delta @ out)
 
-        _fd_check(objective, [("alpha", params.alpha, grads.d_alpha),
-                              ("beta", params.beta, grads.d_beta),
-                              ("input", bands, grads.d_input)], worst)
+        _fd_check([("alpha", params.alpha, grads.d_alpha, objective),
+                   ("beta", params.beta, grads.d_beta, objective),
+                   ("input", bands, grads.d_input, objective)], worst)
     return worst
 
 
@@ -308,35 +325,72 @@ def _random_model(arch, depth, n_bands, rng, eps):
     return model
 
 
+def _kink_free_sample(arch, depth, rng, eps):
+    """A random 10-band model and input row whose ReLU pre-activations all
+    lie at least RELU_KINK_MARGIN from zero, so that FD perturbations do
+    not cross a kink mid-check."""
+    for _attempt in range(200):
+        model = _random_model(arch, depth, 10, rng, eps)
+        bands = rng.uniform(0.01, 1.0, size=10)
+        _, probe = net._model_forward(model, bands[None, :],
+                                      net._coefficients(model, softplus))
+        if all(np.abs(dense.pre).min() >= RELU_KINK_MARGIN
+               for layer, dense in zip(model.layers, probe.dense)
+               if layer.activation == "relu"):
+            return model, bands
+    raise RuntimeError("could not sample a kink-free configuration")
+
+
 def _gradcheck_model(arch, depth, trials, seed, eps, max_coords):
     rng = np.random.default_rng(seed)
     worst = {}
     for _ in range(trials):
-        for _attempt in range(200):
-            model = _random_model(arch, depth, 10, rng, eps)
-            bands = rng.uniform(0.01, 1.0, size=10)
-            _, probe = net._model_forward(model, bands[None, :],
-                                          net._coefficients(model, softplus))
-            # FD perturbations must not cross a ReLU kink mid-check.
-            if all(np.abs(dense.pre).min() >= RELU_KINK_MARGIN
-                   for layer, dense in zip(model.layers, probe.dense)
-                   if layer.activation == "relu"):
-                break
-        else:
-            raise RuntimeError("could not sample a kink-free configuration")
-
+        model, bands = _kink_free_sample(arch, depth, rng, eps)
         _, cache = net.model_forward(model, bands)
         grads, d_bands = net.model_backward(model, cache, 1.0)
-
-        def objective():
-            logit, _ = net.model_forward(model, bands)
-            return logit
-
+        row = cache.batch
         families = [_FAMILIES.get(name, "dense") for name in model.parameter_names()]
-        _fd_check(objective, zip(families + ["input"],
-                                 model.parameters() + [bands],
-                                 grads + [d_bands]), worst, rng, max_coords)
+        _fd_check(zip(families + ["input"], model.parameters() + [row],
+                      grads + [d_bands], _replay_objectives(model, row)),
+                  worst, rng, max_coords)
     return worst
+
+
+def _replay_objectives(model, row):
+    """The logit of the validated one-row batch ``row`` as one objective per
+    array of ``model.parameters()``, then one for ``row`` itself.
+
+    Each objective replays the stages from the first one that reads its
+    array, on the arrays as they are when it is called; the earlier
+    stages' outputs come from one unperturbed ``_model_forward`` on
+    ``row`` (the module docstring says why this is exact).
+    """
+    _, cache = net._model_forward(model, row, net._coefficients(model, softplus))
+
+    def dense(k, x):
+        for layer in model.layers[k:]:
+            x, _ = net._dense_forward(layer, x)
+        return float(x[0, 0])
+
+    def gate():
+        x, _ = _gate(row, model.attn_weights, model.attn_bias,
+                     cache.gate.nd_outputs)
+        return dense(0, x)
+
+    def whole():
+        logit, _ = net._model_forward(model, row,
+                                      net._coefficients(model, softplus))
+        return float(logit[0])
+
+    objectives = []
+    for name in model.parameter_names():
+        stage = name.partition(".")[0]
+        if stage.startswith("dense"):
+            k = int(stage[len("dense"):])
+            objectives.append(functools.partial(dense, k, cache.dense[k].inputs))
+        else:
+            objectives.append(gate if stage == "attn" else whole)
+    return objectives + [whole]
 
 
 def gradcheck(target: str, depth: int = 3, trials: int = 100,
@@ -347,9 +401,10 @@ def gradcheck(target: str, depth: int = 3, trials: int = 100,
     ``target`` is one of GRADCHECK_TARGETS: the three whole architectures
     (checked end to end on the logit) or the bare pairwise layer in its
     three variants (checked on a random linear functional of the
-    outputs). ``max_coords`` caps the coordinates checked per parameter
-    family per trial for the large whole-model targets; ``None`` checks
-    every coordinate.
+    outputs). ``max_coords`` caps the coordinates checked per array per
+    trial for the whole-model targets (nd depth 4 has 6 dense arrays, so
+    up to 6 x 40 dense coordinates per trial at the default); ``None``
+    checks every coordinate. It must be None or an int of at least 1.
     """
     if target not in GRADCHECK_TARGETS:
         raise ValueError(f"unknown gradcheck target {target!r}")
@@ -357,6 +412,11 @@ def gradcheck(target: str, depth: int = 3, trials: int = 100,
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if max_coords is not None and (isinstance(max_coords, bool)
+                                   or not isinstance(max_coords, (int, np.integer))
+                                   or max_coords < 1):
+        raise ValueError(f"max_coords must be None or an int of at least 1, "
+                         f"got {max_coords!r}")
     start = time.perf_counter()
     if target in _LAYER_VARIANTS:
         worst = _gradcheck_layer(target, trials, seed, eps)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ndnet import network
+from ndnet import evaluation, network
 from ndnet.data import Dataset, SplitSpec, SynthSpec, synth_generate
 from ndnet.evaluation import (
     accuracy,
@@ -306,6 +306,70 @@ class TestGradcheck:
         a = gradcheck("ndlayer", trials=50, tolerance=1e-5, seed=7)
         b = gradcheck("ndlayer", trials=50, tolerance=1e-5, seed=7)
         assert a.max_errors == b.max_errors
+
+    @pytest.mark.parametrize("max_coords", [0, -1, True, False, 2.5, "40"])
+    def test_max_coords_must_be_an_int_of_at_least_one(self, max_coords):
+        with pytest.raises(ValueError, match="max_coords"):
+            gradcheck("nd", depth=2, trials=1, max_coords=max_coords)
+
+    @pytest.mark.parametrize("max_coords", [1, np.int64(3)])
+    def test_smallest_max_coords_checks_every_family(self, max_coords):
+        report = gradcheck("attnd", depth=2, trials=1, tolerance=1e-4,
+                           max_coords=max_coords)
+        assert report.passed
+        assert set(report.max_errors) == {"alpha", "beta", "attention",
+                                          "dense", "input"}
+        assert min(report.max_errors.values()) > 0.0
+
+
+def full_forward_gradcheck(arch, depth, trials, seed, max_coords, tolerance,
+                           eps=1e-8):
+    """The whole-model check with one public ``model_forward`` of the 1-d
+    row per evaluation, drawing from the rng in the order gradcheck does;
+    returns (max_errors, passed)."""
+    rng = np.random.default_rng(seed)
+    worst = {}
+    for _ in range(trials):
+        model, bands = evaluation._kink_free_sample(arch, depth, rng, eps)
+        _, cache = network.model_forward(model, bands)
+        grads, d_bands = network.model_backward(model, cache, 1.0)
+
+        def objective():
+            return network.model_forward(model, bands)[0]
+
+        names = model.parameter_names() + ["input"]
+        for name, array, analytic in zip(names, model.parameters() + [bands],
+                                         grads + [d_bands]):
+            family = ("input" if name == "input"
+                      else evaluation._FAMILIES.get(name, "dense"))
+            worst.setdefault(family, 0.0)
+            coords = np.arange(array.size)
+            if max_coords is not None and array.size > max_coords:
+                coords = rng.choice(array.size, size=max_coords, replace=False)
+            for k in coords:
+                numeric = evaluation._central_diff(objective, array, int(k))
+                err = evaluation._rel_err(float(analytic.flat[int(k)]), numeric)
+                if err > worst[family]:
+                    worst[family] = err
+    return worst, all(err < tolerance for err in worst.values())
+
+
+class TestGradcheckReplay:
+    """Replaying only the layers downstream of each perturbed array gives
+    the reports of a full forward per evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("max_coords", [None, 40])
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("arch", ["nd", "mlp", "attnd"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_reports_equal_full_forward_reference(self, arch, depth, seed,
+                                                  max_coords):
+        report = gradcheck(arch, depth=depth, trials=2, tolerance=1e-5,
+                           seed=seed, max_coords=max_coords)
+        worst, passed = full_forward_gradcheck(arch, depth, 2, seed,
+                                               max_coords, 1e-5)
+        assert report.max_errors == worst
+        assert report.passed == passed
 
 
 def small_synth(seed=0, n=240):
