@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 
@@ -159,11 +160,16 @@ def _write_json(path, meta: dict, payload: dict):
         fh.write("\n")
 
 
+def _write_header(fh, meta: dict):
+    """The ``# key: value`` lines that open every text run file."""
+    for key in ("command", "seed", "version"):
+        fh.write(f"# {key}: {meta[key]}\n")
+    fh.write(f"# flags: {json.dumps(meta['flags'])}\n")
+
+
 def _write_csv(path, meta: dict, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key in ("command", "seed", "version"):
-            fh.write(f"# {key}: {meta[key]}\n")
-        fh.write(f"# flags: {json.dumps(meta['flags'])}\n")
+        _write_header(fh, meta)
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -178,15 +184,9 @@ def cmd_gradcheck(args) -> int:
                           tolerance=args.tol, seed=args.seed, eps=args.eps)
     run_dir = _run_dir(args)
     out_path = os.path.join(run_dir, "gradcheck.json")
-    _write_json(out_path, _meta(args), {"report": {
-        "target": report.target,
-        "depth": report.depth,
-        "trials": report.trials,
-        "tolerance": report.tolerance,
-        "eps": report.eps,
-        "max_errors": report.max_errors,
-        "passed": report.passed,
-    }})
+    fields = asdict(report)
+    del fields["runtime_s"]  # wall-clock time would make reruns differ
+    _write_json(out_path, _meta(args), {"report": fields})
     print(f"gradcheck {args.arch} depth={args.depth}: "
           f"worst relative error {report.worst():.3e} "
           f"(tolerance {report.tolerance:g})")
@@ -266,10 +266,8 @@ def cmd_crossval(args) -> int:
     _write_json(os.path.join(run_dir, "report.json"), meta,
                 {"report": ev.report_to_dict(report)})
     with open(os.path.join(run_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"# command: {meta['command']}\n# seed: {meta['seed']}\n"
-                 f"# version: {meta['version']}\n"
-                 f"# flags: {json.dumps(meta['flags'])}\n\n")
-        fh.write(ev.report_to_text(report))
+        _write_header(fh, meta)
+        fh.write("\n" + ev.report_to_text(report))
     for metric in ("train_loss", "val_loss", "val_accuracy"):
         rows = ev.history_csv_rows(result.histories, args.arch, args.depth,
                                    metric)

@@ -85,22 +85,16 @@ class Dataset:
 
 @dataclass
 class SplitSpec:
-    """Train/validation/test fractions and the fold layout for CV."""
+    """The fold layout for CV: each class is shuffled by ``seed`` and dealt
+    into ``n_folds`` folds."""
 
-    train_frac: float = 0.70
-    val_frac: float = 0.20
-    test_frac: float = 0.10
     n_folds: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        total = self.train_frac + self.val_frac + self.test_frac
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"split fractions sum to {total}, expected 1")
-        if min(self.train_frac, self.val_frac, self.test_frac) <= 0:
-            raise ValueError("split fractions must be positive")
-        if self.n_folds < 2:
-            raise ValueError("need at least 2 folds")
+        if not (_is_int(self.n_folds) and self.n_folds >= 2):
+            raise ValueError(f"n_folds must be an integer >= 2 (need at least "
+                             f"2 folds), got {self.n_folds!r}")
 
 
 @dataclass
@@ -307,13 +301,18 @@ def _class_fold_layout(dataset: Dataset, spec: SplitSpec):
     return layout
 
 
+# Share of the non-test rows of a class that train on (70% train and 20%
+# validation of the whole).
+_TRAIN_SHARE = 0.70 / (0.70 + 0.20)
+
+
 def stratified_split(dataset: Dataset, spec: SplitSpec, fold: int):
     """Deterministic stratified (train, validation, test) split for a fold.
 
     Each class is shuffled once by the spec seed and dealt round-robin
     into folds; fold ``fold`` forms the test set. The rest of each class
-    keeps its dealt order and splits train/validation in the
-    train:(train+val) proportion. Splits are disjoint and cover the
+    keeps its dealt order and splits train/validation 70:20
+    (``_TRAIN_SHARE``). Splits are disjoint and cover the
     dataset, with class proportions within one sample of the global ones.
     """
     if not (0 <= fold < spec.n_folds):
@@ -321,13 +320,12 @@ def stratified_split(dataset: Dataset, spec: SplitSpec, fold: int):
     layout = _class_fold_layout(dataset, spec)
 
     train_idx, val_idx, test_idx = [], [], []
-    train_share = spec.train_frac / (spec.train_frac + spec.val_frac)
     for dealt in layout:
         in_test = np.zeros(len(dealt), dtype=bool)
         in_test[fold::spec.n_folds] = True
         test_idx.append(dealt[in_test])
         remaining = dealt[~in_test]
-        n_train = int(round(len(remaining) * train_share))
+        n_train = int(round(len(remaining) * _TRAIN_SHARE))
         train_idx.append(remaining[:n_train])
         val_idx.append(remaining[n_train:])
 

@@ -326,9 +326,10 @@ def _random_model(arch, depth, n_bands, rng, eps):
 
 
 def _kink_free_sample(arch, depth, rng, eps):
-    """A random 10-band model and input row whose ReLU pre-activations all
+    """A random 10-band model, an input row whose ReLU pre-activations all
     lie at least RELU_KINK_MARGIN from zero, so that FD perturbations do
-    not cross a kink mid-check."""
+    not cross a kink mid-check, and the ``_model_forward`` cache of that
+    row as a one-row batch."""
     for _attempt in range(200):
         model = _random_model(arch, depth, 10, rng, eps)
         bands = rng.uniform(0.01, 1.0, size=10)
@@ -337,7 +338,7 @@ def _kink_free_sample(arch, depth, rng, eps):
         if all(np.abs(dense.pre).min() >= RELU_KINK_MARGIN
                for layer, dense in zip(model.layers, probe.dense)
                if layer.activation == "relu"):
-            return model, bands
+            return model, bands, probe
     raise RuntimeError("could not sample a kink-free configuration")
 
 
@@ -345,27 +346,27 @@ def _gradcheck_model(arch, depth, trials, seed, eps, max_coords):
     rng = np.random.default_rng(seed)
     worst = {}
     for _ in range(trials):
-        model, bands = _kink_free_sample(arch, depth, rng, eps)
+        model, bands, probe = _kink_free_sample(arch, depth, rng, eps)
         _, cache = net.model_forward(model, bands)
         grads, d_bands = net.model_backward(model, cache, 1.0)
         row = cache.batch
         families = [_FAMILIES.get(name, "dense") for name in model.parameter_names()]
         _fd_check(zip(families + ["input"], model.parameters() + [row],
-                      grads + [d_bands], _replay_objectives(model, row)),
+                      grads + [d_bands], _replay_objectives(model, row, probe)),
                   worst, rng, max_coords)
     return worst
 
 
-def _replay_objectives(model, row):
+def _replay_objectives(model, row, cache):
     """The logit of the validated one-row batch ``row`` as one objective per
     array of ``model.parameters()``, then one for ``row`` itself.
 
     Each objective replays the stages from the first one that reads its
     array, on the arrays as they are when it is called; the earlier
-    stages' outputs come from one unperturbed ``_model_forward`` on
-    ``row`` (the module docstring says why this is exact).
+    stages' outputs come from ``cache``, that of one unperturbed
+    ``_model_forward`` on ``row`` (the module docstring says why this is
+    exact).
     """
-    _, cache = net._model_forward(model, row, net._coefficients(model, softplus))
 
     def dense(k, x):
         for layer in model.layers[k:]:
@@ -410,11 +411,10 @@ def gradcheck(target: str, depth: int = 3, trials: int = 100,
         raise ValueError(f"unknown gradcheck target {target!r}")
     if not (tolerance > 0 and np.isfinite(tolerance)):
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if max_coords is not None and (isinstance(max_coords, bool)
-                                   or not isinstance(max_coords, (int, np.integer))
-                                   or max_coords < 1):
+    if not (data_mod._is_int(trials) and trials >= 1):
+        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
+    if max_coords is not None and not (data_mod._is_int(max_coords)
+                                       and max_coords >= 1):
         raise ValueError(f"max_coords must be None or an int of at least 1, "
                          f"got {max_coords!r}")
     start = time.perf_counter()

@@ -13,23 +13,25 @@ ReLU dense hidden layer of the pair-count width.
 Which arrays a model has is decided in one place, the cached private
 table ``_layout(arch, depth, n_bands)``: each array's name and shape in
 checkpoint order, the dense activations, and the allowed architectures
-and depths (an int in DEPTHS). ``build_model`` walks it to draw the
-initial values, a ``Model`` checks the arrays, activations and depth it
-is given against it, and ``parameter_names``, ``views`` and checkpoint
-loading read it.
+and depths (an int in DEPTHS). A ``Model`` is that layout's key (arch,
+depth, band names), its eps and one float64 vector of every learnable
+scalar: ``Model(arch, depth, band_names, eps, vector)`` copies the
+vector, checks its length against the layout and builds the arrays
+``nd_params``, ``attn_weights``, ``attn_bias`` and ``layers`` once, as
+views of it. ``build_model`` walks the layout to draw the initial
+values, and ``parameter_names``, ``views`` and checkpoint loading read it.
 
-All training state is explicit. A model keeps every learnable scalar
-in one contiguous float64 vector, ``Model.vector``; the arrays that
-``Model.parameters()`` lists (in the layout's order) are views of it.
-So one training step is one Adam update on that vector, with one pair
-of moment vectors, and the best-epoch snapshot and its restore are one
-copy each. The training loop is deterministic given TrainConfig.seed.
+All training state is explicit. The arrays that ``Model.parameters()``
+lists (in the layout's order) are views of ``Model.vector``, so one
+training step is one Adam update on that vector, with one pair of moment
+vectors, and the best-epoch snapshot and its restore are one copy each.
+The training loop is deterministic given TrainConfig.seed.
 
 Each formula lives in one private core that checks nothing
 (``_model_forward``/``_model_backward``, ``_dense_forward``/
 ``_dense_backward`` here, ``_forward``/``_backward`` and ``_gate``/
-``_gate_backward`` in ndlayer). A ``Model`` checks its arrays when it
-is built, and ``_check_input`` decides which bands it accepts, for
+``_gate_backward`` in ndlayer). A ``Model`` checks its layout and vector
+when it is built, and ``_check_input`` decides which bands it accepts, for
 ``model_forward`` and ``train`` alike. ``train()`` validates its sets once
 and then runs the cores directly: per step it transforms the adjacent
 alpha|beta block once with softplus and once with sigmoid, writes every
@@ -56,6 +58,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .data import _is_int
 from .ndlayer import (
     DEFAULT_EPS,
     NdParams,
@@ -111,20 +114,12 @@ __all__ = [
 
 @dataclass
 class DenseLayer:
+    """One dense layer of a ``Model``: views of its vector and the activation
+    the layout gives it."""
+
     weights: np.ndarray  # (n_out, n_in)
     bias: np.ndarray  # (n_out,)
     activation: str  # "relu" | "identity"
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ValueError(
-                f"weights {self.weights.shape} and bias {self.bias.shape} "
-                "are inconsistent"
-            )
-        if self.activation not in ("relu", "identity"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -201,6 +196,10 @@ class TrainConfig:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"TrainConfig {name} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
         positive = (self.learning_rate, self.batch_size, self.max_epochs,
                     self.patience, self.eps)
         if not (np.isfinite(positive).all() and min(positive) > 0):
@@ -255,59 +254,48 @@ def adam_step(param, grad, state: AdamState, config: TrainConfig):
 
 @dataclass
 class Model:
+    """One architecture's layout and the vector of its learnable scalars.
+
+    The constructor copies ``vector``; ``nd_params``, ``attn_weights``,
+    ``attn_bias`` and ``layers`` (the dense hidden stack, ending with the
+    1-logit head) are views of the copy, laid out by ``_layout``.
+    """
+
     arch: str
     depth: int
-    n_bands: int
     band_names: list
     eps: float
-    nd_params: NdParams | None
-    attn_weights: np.ndarray | None
-    attn_bias: np.ndarray | None
-    layers: list  # DenseLayer hidden stack, ending with the 1-logit head
+    vector: np.ndarray  # every learnable scalar, in parameters() order
+    nd_params: NdParams | None = field(init=False, repr=False)
+    attn_weights: np.ndarray | None = field(init=False, repr=False)
+    attn_bias: np.ndarray | None = field(init=False, repr=False)
+    layers: list = field(init=False, repr=False)
     indexer: PairIndexer = field(init=False, repr=False)
-    vector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.band_names) != self.n_bands:
-            raise ValueError("band_names length must equal n_bands")
         self.eps = _check_eps(self.eps)
         shapes, activations = _layout(self.arch, self.depth, self.n_bands)
-        # The forward cores check nothing, and a misshapen array would
-        # broadcast, so every array must have the shape of its layout entry.
-        expected, arrays = dict(shapes), self._held()
-        held = {name: np.shape(array) for name, array in arrays}
-        for name in list(expected) + [n for n in held if n not in expected]:
-            if held.get(name, "none") != expected.get(name, "none"):
-                raise ValueError(
-                    f"{self.arch} depth {self.depth} on {self.n_bands} bands: "
-                    f"{name} has shape {held.get(name, 'none')}, expected "
-                    f"{expected.get(name, 'none')}")
-        given = [layer.activation for layer in self.layers]
-        if given != list(activations):
-            raise ValueError(f"{self.arch} depth {self.depth}: activations "
-                             f"{given}, expected {list(activations)}")
+        size = sum(math.prod(shape) for _, shape in shapes)
+        self.vector = np.array(self.vector, dtype=np.float64)
+        if self.vector.shape != (size,):
+            raise ValueError(
+                f"{self.arch} depth {self.depth} on {self.n_bands} bands has "
+                f"{size} parameters, got a vector of shape {self.vector.shape}")
         self.indexer = _pair_indexer(self.n_bands)
-        self.vector = np.concatenate(
-            [np.asarray(array, dtype=np.float64).ravel() for _, array in arrays])
-        # Rebind every learnable array as a view of its slice of the vector,
-        # on new holders, so the NdParams and layers passed in stay untouched.
         self._parameters = self.views(self.vector)
-        (self.nd_params, self.attn_weights, self.attn_bias,
-         self.layers) = _holders(shapes, self._parameters, activations)
+        named = dict(zip((name for name, _ in shapes), self._parameters))
+        self.nd_params = None
+        if "nd.alpha" in named:
+            self.nd_params = NdParams(named["nd.alpha"], named["nd.beta"])
+        self.attn_weights = named.get("attn.weights")
+        self.attn_bias = named.get("attn.bias")
+        self.layers = [DenseLayer(named[f"dense{k}.weights"],
+                                  named[f"dense{k}.bias"], activation)
+                       for k, activation in enumerate(activations)]
 
-    def _held(self) -> list:
-        """(name, array) for every learnable array the fields hold."""
-        held = []
-        if self.nd_params is not None:
-            held += [("nd.alpha", self.nd_params.alpha),
-                     ("nd.beta", self.nd_params.beta)]
-        if self.attn_weights is not None:
-            held += [("attn.weights", self.attn_weights),
-                     ("attn.bias", self.attn_bias)]
-        for k, layer in enumerate(self.layers):
-            held += [(f"dense{k}.weights", layer.weights),
-                     (f"dense{k}.bias", layer.bias)]
-        return held
+    @property
+    def n_bands(self) -> int:
+        return len(self.band_names)
 
     def __reduce__(self):
         # Pickle and deepcopy rebuild through __init__, so the copy's arrays
@@ -366,18 +354,6 @@ def _layout(arch: str, depth: int, n_bands: int):
     return tuple(shapes), activations
 
 
-def _holders(shapes, arrays, activations):
-    """The Model fields nd_params, attn_weights, attn_bias and layers that
-    hold ``arrays``, given in the order of the layout ``shapes``."""
-    named = dict(zip((name for name, _ in shapes), arrays))
-    nd_params = None
-    if "nd.alpha" in named:
-        nd_params = NdParams(named["nd.alpha"], named["nd.beta"])
-    layers = [DenseLayer(named[f"dense{k}.weights"], named[f"dense{k}.bias"],
-                         activation) for k, activation in enumerate(activations)]
-    return nd_params, named.get("attn.weights"), named.get("attn.bias"), layers
-
-
 def default_band_names(n_bands: int) -> list:
     """Sentinel-2-style labels for 10 bands, generic otherwise."""
     if n_bands == 10:
@@ -396,9 +372,11 @@ def build_model(arch: str, depth: int, n_bands: int, seed: int = 0,
     uniform 0.5 gate (weights uniform in [-0.1, 0.1], bias zero). The
     attention weights are drawn before the dense weights.
     """
-    shapes, activations = _layout(arch, depth, n_bands)
+    shapes, _ = _layout(arch, depth, n_bands)
     if band_names is None:
         band_names = default_band_names(n_bands)
+    elif len(band_names) != n_bands:
+        raise ValueError(f"{len(band_names)} band names for {n_bands} bands")
     rng = np.random.default_rng(seed)
     arrays = []
     for name, shape in shapes:
@@ -409,8 +387,8 @@ def build_model(arch: str, depth: int, n_bands: int, seed: int = 0,
             arrays.append(rng.uniform(-bound, bound, size=shape))
         else:
             arrays.append(np.zeros(shape))
-    return Model(arch, depth, n_bands, list(band_names), eps,
-                 *_holders(shapes, arrays, activations))
+    return Model(arch, depth, list(band_names), eps,
+                 np.concatenate([array.ravel() for array in arrays]))
 
 
 def count_params(model: Model) -> int:
@@ -779,18 +757,21 @@ def model_from_checkpoint_dict(doc: dict) -> Model:
             f"missing {sorted(set(names) - set(params))}, "
             f"unexpected {sorted(set(params) - set(names))}")
     values = []
-    for name in names:
+    for name, shape in shapes:
         try:
-            values.append(np.asarray(params[name], dtype=np.float64))
+            value = np.asarray(params[name], dtype=np.float64)
         except (TypeError, ValueError):
             raise ValueError(f"checkpoint parameter {name} is not numeric") from None
-        if not np.isfinite(values[-1]).all():
+        if value.shape != shape:
+            raise ValueError(f"checkpoint parameter {name} has shape "
+                             f"{value.shape}, expected {shape}")
+        if not np.isfinite(value).all():
             raise ValueError(f"checkpoint parameter {name} is not finite")
+        values.append(value.ravel())
     if doc["activations"] != list(activations):
         raise ValueError(f"checkpoint activations {doc['activations']!r} do not "
                          f"match {arch} depth {depth}: {list(activations)}")
-    return Model(arch, depth, len(band_names), band_names, doc["eps"],
-                 *_holders(shapes, values, activations))
+    return Model(arch, depth, band_names, doc["eps"], np.concatenate(values))
 
 
 def load_checkpoint(path) -> Model:

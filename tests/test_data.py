@@ -244,11 +244,10 @@ class TestStratifiedSplit:
             frac = (split.y == 1).mean()
             assert abs(frac - global_frac) <= 1.0 / split.n_samples + 1e-12
 
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError, match="sum"):
-            SplitSpec(train_frac=0.8, val_frac=0.2, test_frac=0.1)
-        with pytest.raises(ValueError, match="folds"):
-            SplitSpec(n_folds=1)
+    @pytest.mark.parametrize("n_folds", [1, 0, 2.5, "3", True])
+    def test_n_folds_must_be_an_integer_of_at_least_two(self, n_folds):
+        with pytest.raises(ValueError, match="n_folds"):
+            SplitSpec(n_folds=n_folds)
 
 
 class TestSynthGenerate:

@@ -20,9 +20,7 @@ from ndnet.evaluation import (
     top_asymmetric,
 )
 from ndnet.network import (
-    DenseLayer,
     Model,
-    NdParams,
     TrainConfig,
     build_model,
     load_checkpoint,
@@ -34,12 +32,11 @@ softplus_inverse = lambda y: math.log(math.expm1(y))  # softplus(log(e^y - 1)) =
 
 def constant_logit_model(logit, n_bands=3):
     """MLP whose head ignores the input and emits a fixed logit."""
-    layer0 = DenseLayer(np.zeros((3, n_bands)), np.zeros(3), "relu")
-    head = DenseLayer(np.zeros((1, 3)), np.array([float(logit)]), "identity")
-    return Model(arch="mlp", depth=2, n_bands=n_bands,
-                 band_names=[f"b{k}" for k in range(n_bands)], eps=1e-8,
-                 nd_params=None, attn_weights=None, attn_bias=None,
-                 layers=[layer0, head])
+    model = build_model("mlp", 2, n_bands,
+                        band_names=[f"b{k}" for k in range(n_bands)])
+    model.vector[:] = 0.0
+    model.layers[1].bias[:] = logit
+    return model
 
 
 def uniform_dataset(n, n_bands, label, seed=0):
@@ -61,11 +58,9 @@ class TestAccuracy:
     def test_hand_built_four_sample_case(self):
         # logits are relu(x1 - x2) through an identity head; enumerate by
         # hand: (.8,.2)->+ (.1,.6)->0 (.5,.2)->+ (.3,.4)->0  vs labels 1,0,0,0
-        first = DenseLayer(np.array([[1.0, -1.0]]), np.zeros(1), "relu")
-        head = DenseLayer(np.array([[1.0]]), np.zeros(1), "identity")
-        model = Model(arch="mlp", depth=2, n_bands=2, band_names=["a", "b"],
-                      eps=1e-8, nd_params=None, attn_weights=None,
-                      attn_bias=None, layers=[first, head])
+        # mlp depth 2 on 2 bands: dense0 (1, 2) + (1,), dense1 (1, 1) + (1,)
+        model = Model(arch="mlp", depth=2, band_names=["a", "b"], eps=1e-8,
+                      vector=[1.0, -1.0, 0.0, 1.0, 0.0])
         X = np.array([[0.8, 0.2], [0.1, 0.6], [0.5, 0.2], [0.3, 0.4]])
         ds = Dataset(["a", "b"], X, np.array([1, 0, 0, 0]))
         # predictions 1,0,1,0 -> three of four match
@@ -115,10 +110,9 @@ class TestAccuracy:
         # N ~ -1 (class 0, right); the signed one replaces m(0) = 0 by
         # sqrt(eps) and gives N ~ -0.41 (class 1, wrong). The negative row
         # is class 0 under the signed forward.
-        head = DenseLayer(np.array([[1.0]]), np.array([0.75]), "identity")
-        model = Model(arch="nd", depth=2, n_bands=2, band_names=["a", "b"],
-                      eps=1e-8, nd_params=NdParams.zeros(1), attn_weights=None,
-                      attn_bias=None, layers=[head])
+        # nd depth 2 on 2 bands: alpha, beta, head weight, head bias
+        model = Model(arch="nd", depth=2, band_names=["a", "b"], eps=1e-8,
+                      vector=[0.0, 0.0, 1.0, 0.75])
         near_zero = Dataset(["a", "b"], np.array([[0.0, 1e-4]]), np.array([0]))
         assert accuracy(model, near_zero) == 1.0
         mixed = Dataset(["a", "b"], np.array([[0.0, 1e-4], [-0.5, 0.5]]),
@@ -286,7 +280,8 @@ class TestGradcheck:
         with pytest.raises(ValueError, match="tolerance"):
             gradcheck("ndlayer", tolerance=0.0)
 
-    @pytest.mark.parametrize("trials", [0, -3])
+    # 2.5 and "3" once ended in TypeErrors, True in a report of "trials: True"
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, "3", True])
     def test_trials_below_one_rejected(self, trials):
         with pytest.raises(ValueError, match="trials"):
             gradcheck("nd", depth=2, trials=trials)
@@ -330,7 +325,7 @@ def full_forward_gradcheck(arch, depth, trials, seed, max_coords, tolerance,
     rng = np.random.default_rng(seed)
     worst = {}
     for _ in range(trials):
-        model, bands = evaluation._kink_free_sample(arch, depth, rng, eps)
+        model, bands, _ = evaluation._kink_free_sample(arch, depth, rng, eps)
         _, cache = network.model_forward(model, bands)
         grads, d_bands = network.model_backward(model, cache, 1.0)
 

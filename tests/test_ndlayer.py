@@ -498,12 +498,12 @@ class TestAttentionGate:
         assert (np.abs(gated) <= 1.0).all()
 
     def test_dimension_mismatch_raises(self):
-        # the gate core checks nothing; the attnd model checks the shapes
+        # the gate core checks nothing; the attnd model checks its vector:
+        # gate weights of (5, 4) or a bias of 5 leave it 4 or 1 values short
         model = build_model("attnd", 2, 4, seed=0)
-        with pytest.raises(ValueError, match="attn.weights"):
-            dataclasses.replace(model, attn_weights=np.zeros((5, 4)))
-        with pytest.raises(ValueError, match="attn.bias"):
-            dataclasses.replace(model, attn_bias=np.zeros(5))
+        for short in (4, 1):
+            with pytest.raises(ValueError, match="got a vector of shape"):
+                dataclasses.replace(model, vector=model.vector[short:])
 
     def test_gradients_match_finite_differences(self, rng):
         # objective: delta . (sigmoid(W b + c) * N(b)); checks W, c, bands,

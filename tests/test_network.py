@@ -125,14 +125,11 @@ class TestDenseLayer:
         assert worst < 1e-6
 
     def test_shape_validation(self, rng):
+        # a fan-in-3 first layer on 4 bands: 6 values short of the layout
         mlp = build_model("mlp", 2, 4, seed=0)
-        with pytest.raises(ValueError, match="dense0.weights has shape"):
-            dataclasses.replace(mlp, layers=[
-                DenseLayer(np.ones((6, 3)), np.zeros(6), "relu"), mlp.layers[1]])
-        with pytest.raises(ValueError):
-            DenseLayer(np.ones((2, 3)), np.zeros(3), "relu")
-        with pytest.raises(ValueError):
-            DenseLayer(np.ones((2, 3)), np.zeros(2), "tanh")
+        with pytest.raises(ValueError, match=r"has 37 parameters, got a vector "
+                                             r"of shape \(31,\)"):
+            dataclasses.replace(mlp, vector=mlp.vector[6:])
 
 
 class TestBceWithLogits:
@@ -245,6 +242,10 @@ class TestBuildModel:
         model = build_model("attnd", 3, 6, seed=9)
         assert count_params(model) == sum(p.size for p in model.parameters())
 
+    def test_band_names_must_match_n_bands(self):
+        with pytest.raises(ValueError, match="2 band names for 4 bands"):
+            build_model("nd", 2, 4, band_names=["a", "b"])
+
     def test_unsupported_depth_raises(self):
         with pytest.raises(ValueError, match="depth"):
             build_model("nd", 5, 10)
@@ -284,12 +285,12 @@ class TestModelForwardBackward:
 
     def test_saturated_attention_equals_plain_nd(self, rng):
         nd = build_model("nd", 3, 10, seed=5)
-        attnd = Model(arch="attnd", depth=3, n_bands=10,
-                      band_names=nd.band_names, eps=nd.eps,
-                      nd_params=nd.nd_params.copy(),
-                      attn_weights=np.zeros((45, 10)),
-                      attn_bias=np.full(45, 40.0),
-                      layers=nd.layers)
+        # attnd's layout: nd's alpha|beta, the gate's weights and bias, then
+        # nd's dense layers
+        vector = np.concatenate([nd.vector[:90], np.zeros(45 * 10),
+                                 np.full(45, 40.0), nd.vector[90:]])
+        attnd = Model(arch="attnd", depth=3, band_names=nd.band_names,
+                      eps=nd.eps, vector=vector)
         x = rng.uniform(0.01, 1.0, 10)
         logit_nd, _ = model_forward(nd, x)
         logit_att, _ = model_forward(attnd, x)
@@ -334,57 +335,69 @@ class TestModelForwardBackward:
         assert report.passed, report.max_errors
 
 
-class TestModelShapes:
-    """A Model rejects arrays that do not fit its architecture when built."""
+def without(arrays, prefix):
+    return {name: a for name, a in arrays.items() if not name.startswith(prefix)}
 
-    # attnd depth 3 on 4 bands: 6 pairs, dense layers (6, 6) and (1, 6)
+
+class TestModelShapes:
+    """A Model rejects a vector that does not fit its layout. Arrays shaped
+    for another layout join into a vector of the wrong length."""
+
+    # attnd depth 3 on 4 bands: 6 pairs, dense layers (6, 6) and (1, 6);
+    # each case is the architecture label and a change to the named arrays
     CASES = {
-        "short bias": (lambda m: {"attn_bias": np.zeros(1)}, "attn.bias"),
-        "weights": (lambda m: {"attn_weights": np.zeros((6, 3))},
-                    "attn.weights"),
-        "no gate": (lambda m: {"attn_weights": None, "attn_bias": None},
-                    "attn.weights"),
-        "nd pairs": (lambda m: {"nd_params": NdParams.zeros(10)}, "nd.alpha"),
-        "no nd": (lambda m: {"nd_params": None}, "nd.alpha"),
-        "gate on nd": (lambda m: {"arch": "nd"}, "attn.weights"),
-        "fan-in": (lambda m: {"layers": [
-            DenseLayer(np.ones((6, 5)), np.zeros(6), "relu"), m.layers[1]]},
-            "dense0.weights"),
-        "two-output head": (lambda m: {"layers": [
-            m.layers[0], DenseLayer(np.ones((2, 6)), np.zeros(2), "identity")]},
-            "dense1.weights"),
-        "missing layer": (lambda m: {"layers": m.layers[:1]}, "dense1.weights"),
-        "extra layer": (lambda m: {"layers": m.layers[:1] * 2 + m.layers[1:]},
-                        "dense1.weights"),
+        "short bias": ("attnd", lambda a: {**a, "attn.bias": np.zeros(1)}),
+        "weights": ("attnd", lambda a: {**a, "attn.weights": np.zeros((6, 3))}),
+        "no gate": ("attnd", lambda a: without(a, "attn.")),
+        "nd pairs": ("attnd", lambda a: {**a, "nd.alpha": np.zeros(10),
+                                         "nd.beta": np.zeros(10)}),
+        "no nd": ("attnd", lambda a: without(a, "nd.")),
+        "gate on nd": ("nd", lambda a: a),
+        "fan-in": ("attnd", lambda a: {**a, "dense0.weights": np.ones((6, 5))}),
+        "two-output head": ("attnd", lambda a: {
+            **a, "dense1.weights": np.ones((2, 6)), "dense1.bias": np.zeros(2)}),
+        "missing layer": ("attnd", lambda a: without(a, "dense1.")),
+        "extra layer": ("attnd", lambda a: {**a, "dense2.weights": np.ones((6, 6)),
+                                            "dense2.bias": np.zeros(6)}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_misshapen_arrays_rejected(self, case):
         model = build_model("attnd", 3, 4, seed=0)
-        change, name = self.CASES[case]
-        with pytest.raises(ValueError, match=f"{name} has shape"):
-            dataclasses.replace(model, **change(model))
+        arch, change = self.CASES[case]
+        arrays = change(dict(zip(model.parameter_names(), model.parameters())))
+        vector = np.concatenate([a.ravel() for a in arrays.values()])
+        with pytest.raises(ValueError, match="got a vector of shape"):
+            dataclasses.replace(model, arch=arch, vector=vector)
 
-    @pytest.mark.parametrize("change", [{"nd_params": NdParams.zeros(6)},
-                                        {"arch": "nd"}], ids=["mlp", "nd"])
-    def test_nd_params_follow_the_first_layer(self, change):
-        with pytest.raises(ValueError, match="nd.alpha has shape"):
-            dataclasses.replace(build_model("mlp", 2, 4, seed=0), **change)
+    @pytest.mark.parametrize("arch,extra", [("mlp", 12), ("nd", 0)],
+                             ids=["mlp", "nd"])
+    def test_nd_params_follow_the_first_layer(self, arch, extra):
+        # an mlp vector with alpha|beta in front, or an mlp vector labelled nd
+        mlp = build_model("mlp", 2, 4, seed=0)
+        vector = np.concatenate([np.zeros(extra), mlp.vector])
+        with pytest.raises(ValueError, match="got a vector of shape"):
+            dataclasses.replace(mlp, arch=arch, vector=vector)
 
     def test_hidden_identity_layer_rejected(self):
-        # its checkpoint would not load: the layout's hidden layers are ReLU
+        # the layout gives every layer its activation: ReLU hidden layers
+        # and an identity head; a checkpoint naming others does not load
         nd = build_model("nd", 3, 4, seed=0)
-        layers = [DenseLayer(layer.weights, layer.bias, "identity")
-                  for layer in nd.layers]
+        assert [layer.activation for layer in nd.layers] == ["relu", "identity"]
+        doc = json.loads(checkpoint_to_json(nd))
+        doc["activations"] = ["identity", "identity"]
         with pytest.raises(ValueError, match="activations"):
-            dataclasses.replace(nd, layers=layers)
+            model_from_checkpoint_dict(doc)
 
     def test_depth_outside_depths_rejected(self):
         # four dense layers after the nd layer are depth 5's shapes
         nd = build_model("nd", 4, 4, seed=0)
         assert len(nd.layers) == 3
+        hidden = nd.layers[0]
+        vector = np.concatenate([nd.vector[:12], hidden.weights.ravel(),
+                                 hidden.bias, nd.vector[12:]])
         with pytest.raises(ValueError, match="unsupported depth 5"):
-            dataclasses.replace(nd, depth=5, layers=nd.layers[:1] + nd.layers)
+            dataclasses.replace(nd, depth=5, vector=vector)
 
     @pytest.mark.parametrize("depth", [3.0, True])
     def test_depth_must_be_an_int(self, depth):
@@ -503,6 +516,16 @@ class TestTraining:
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["batch_size", "max_epochs", "patience",
+                                       "seed"])
+    @pytest.mark.parametrize("value", [True, 1.5, 2.5, "3"])
+    def test_integer_fields_must_be_integers(self, field, value):
+        # batch_size=True once trained at batch size 1; floats ended in
+        # TypeErrors or were accepted
+        with pytest.raises(ValueError, match=f"TrainConfig {field} must be an "
+                                             "integer"):
+            TrainConfig(**{field: value})
+
 
 def per_array_reference_train(model, train_set, val_set, config):
     """The training loop with one pair of Adam moments per parameter array."""
@@ -558,6 +581,28 @@ def four_band_dataset(n, seed):
     return make_dataset(X, y.astype(np.int64))
 
 
+def holders(model):
+    """Every learnable array that the cores read from a model's fields."""
+    arrays = []
+    if model.nd_params is not None:
+        arrays += [model.nd_params.alpha, model.nd_params.beta]
+    if model.attn_weights is not None:
+        arrays += [model.attn_weights, model.attn_bias]
+    for layer in model.layers:
+        arrays += [layer.weights, layer.bias]
+    return arrays
+
+
+def assert_holders_alias_the_vector(model):
+    # the cores read the holders and Adam writes the vector, so a holder
+    # detached from the vector would stop training without an error
+    arrays = holders(model)
+    assert len(arrays) == len(model.parameters())
+    for array, param in zip(arrays, model.parameters()):
+        assert np.shares_memory(array, model.vector)
+        assert np.shares_memory(array, param) and array.shape == param.shape
+
+
 class TestParameterVector:
     @pytest.mark.parametrize("arch", ["nd", "attnd", "mlp"])
     @pytest.mark.parametrize("depth", [2, 3])
@@ -583,23 +628,24 @@ class TestParameterVector:
     @pytest.mark.parametrize("arch", ["nd", "attnd", "mlp"])
     def test_copies_follow_their_own_vector(self, make, arch, rng):
         model = build_model(arch, 3, 4, seed=2)
+        assert_holders_alias_the_vector(model)
         model.vector[:] = rng.uniform(-1, 1, model.vector.size)
         before = model.vector.copy()
         twin = make(model)
+        assert_holders_alias_the_vector(twin)
         assert np.array_equal(twin.vector, before)
         assert not np.shares_memory(twin.vector, model.vector)
         assert twin.indexer is model.indexer
         twin.vector[:] = 7.0
-        for p in twin.parameters():
+        for p in twin.parameters() + holders(twin):
             assert (p == 7.0).all()
         assert np.array_equal(model.vector, before)
         model_forward(twin, rng.uniform(0.1, 1.0, 4))
 
     def test_constructor_leaves_its_arguments_untouched(self):
         nd = build_model("nd", 3, 4, seed=3)
-        other = Model(arch="nd", depth=3, n_bands=4, band_names=nd.band_names,
-                      eps=nd.eps, nd_params=nd.nd_params, attn_weights=None,
-                      attn_bias=None, layers=nd.layers)
+        other = Model(arch="nd", depth=3, band_names=nd.band_names,
+                      eps=nd.eps, vector=nd.vector)
         other.vector[:] = 0.0
         assert nd.vector.any()
         for p in nd.parameters():
@@ -941,43 +987,34 @@ class TestCheckpoints:
     @settings(max_examples=60, deadline=None)
     @given(arch=st.sampled_from(["nd", "mlp", "attnd"]),
            depth=st.sampled_from([2, 3, 4, 5, 3.0, True]),
-           extra_layers=st.sampled_from([0, 0, 0, -1, 1]),
-           flip=st.sampled_from([None, None, None, 0, 1, 2]),
+           extra=st.sampled_from([0, 0, 0, -1, 1]),
            n_bands=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
-    def test_every_model_that_builds_round_trips(self, arch, depth, extra_layers,
-                                                 flip, n_bands, seed):
-        # near-layout models: any depth label, one dense layer more or
-        # fewer than the label implies, one activation flipped
-        rng = np.random.default_rng(seed)
+    def test_every_model_that_builds_round_trips(self, arch, depth, extra,
+                                                 n_bands, seed):
+        # near-layout models: any depth label, and a vector one value shorter
+        # or longer than the label's layout holds
         n_pairs = n_bands * (n_bands - 1) // 2
-        n_layers = max(1, int(depth) - (arch != "mlp") + extra_layers)
-        activations = ["relu"] * (n_layers - 1) + ["identity"]
-        if flip is not None and flip < n_layers:
-            activations[flip] = {"relu": "identity", "identity": "relu"}[
-                activations[flip]]
+        n_layers = int(depth) - (arch != "mlp")
         widths = ([n_bands if arch == "mlp" else n_pairs]
                   + [n_pairs] * (n_layers - 1) + [1])
-        layers = [DenseLayer(rng.standard_normal((widths[k + 1], widths[k])),
-                             rng.standard_normal(widths[k + 1]), activations[k])
-                  for k in range(n_layers)]
-        nd_params = attn_weights = attn_bias = None
-        if arch != "mlp":
-            nd_params = NdParams(rng.standard_normal(n_pairs),
-                                 rng.standard_normal(n_pairs))
-        if arch == "attnd":
-            attn_weights = rng.standard_normal((n_pairs, n_bands))
-            attn_bias = rng.standard_normal(n_pairs)
+        size = sum((widths[k] + 1) * widths[k + 1] for k in range(n_layers))
+        size += {"nd": 2 * n_pairs, "attnd": n_pairs * (n_bands + 3),
+                 "mlp": 0}[arch]
+        vector = np.random.default_rng(seed).standard_normal(size + extra)
+        fits = extra == 0 and type(depth) is int and depth in (2, 3, 4)
         try:
-            model = Model(arch, depth, n_bands, [f"b{k}" for k in range(n_bands)],
-                          1e-8, nd_params, attn_weights, attn_bias, layers)
+            model = Model(arch, depth, [f"b{k}" for k in range(n_bands)], 1e-8,
+                          vector)
         except ValueError:
+            assert not fits
             return
+        assert fits
         loaded = model_from_checkpoint_dict(json.loads(checkpoint_to_json(model)))
         assert (loaded.arch, loaded.depth, loaded.n_bands, loaded.band_names,
                 loaded.eps) == (arch, depth, n_bands, model.band_names, 1e-8)
         assert ([layer.activation for layer in loaded.layers]
                 == [layer.activation for layer in model.layers])
-        assert np.array_equal(loaded.vector, model.vector)
+        assert np.array_equal(loaded.vector, vector)
 
     @pytest.mark.parametrize("field,value", [
         ("eps", True), ("version", True), ("depth", 3.0),
@@ -986,6 +1023,18 @@ class TestCheckpoints:
         doc = json.loads(checkpoint_to_json(build_model("nd", 3, 4, seed=0)))
         doc[field] = value
         with pytest.raises(ValueError):
+            model_from_checkpoint_dict(doc)
+
+    @pytest.mark.parametrize("name,change", [
+        ("nd.alpha", lambda v: v[:-1]),
+        ("attn.weights", lambda v: np.transpose(v).tolist()),
+        ("dense0.weights", lambda v: np.ravel(v).tolist()),
+        ("dense1.bias", lambda v: [v])])
+    def test_misshapen_array_is_named(self, name, change):
+        doc = json.loads(checkpoint_to_json(build_model("attnd", 3, 4, seed=0)))
+        doc["params"][name] = change(doc["params"][name])
+        with pytest.raises(ValueError, match=rf"checkpoint parameter {name} "
+                                             r"has shape \("):
             model_from_checkpoint_dict(doc)
 
     def test_non_checkpoint_document_rejected(self, tmp_path):
