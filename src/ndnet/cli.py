@@ -301,13 +301,18 @@ def _parse_etas(text: str):
 
 
 def cmd_noise(args) -> int:
+    """Sweep checkpoints over noise levels with one realization per test
+    set and level. Every checkpoint is loaded and checked first, in
+    argument order; then each distinct test set (the whole dataset, or a
+    fold's test part keyed by fold, split seed and fold count) is swept
+    once for all of its checkpoints. Output keeps the argument order."""
     etas = _parse_etas(args.etas)
     dataset = _load_dataset(args)
     run_dir = _run_dir(args)
     meta = _meta(args)
 
-    rows = []
-    curves = []
+    checkpoints = []  # (path, fold, model, test-set key), in argument order
+    test_sets = {}
     for path in args.checkpoints:
         if not os.path.exists(path):
             raise ValueError(f"missing checkpoint {path}")
@@ -318,18 +323,33 @@ def cmd_noise(args) -> int:
         if not isinstance(ckpt_meta, dict):
             raise ValueError(f"{path}: checkpoint meta must be an object")
         if {"fold", "split_seed", "n_folds"} <= ckpt_meta.keys():
-            fold, seed, n_folds = (ckpt_meta[key]
-                                   for key in ("fold", "split_seed", "n_folds"))
-            if not all(map(data_mod._is_int, (fold, seed, n_folds))):
+            key = tuple(ckpt_meta[name]
+                        for name in ("fold", "split_seed", "n_folds"))
+            if not all(map(data_mod._is_int, key)):
                 raise ValueError(f"{path}: checkpoint meta fold, split_seed and "
                                  "n_folds must be integers")
-            # SplitSpec wants n_folds >= 2, the split 0 <= fold < n_folds.
-            split = data_mod.SplitSpec(n_folds=n_folds, seed=seed)
-            test_set = ev.fold_test_split(dataset, split, fold)
+            fold, seed, n_folds = key
+            if key not in test_sets:
+                # SplitSpec wants n_folds >= 2, the split 0 <= fold < n_folds.
+                split = data_mod.SplitSpec(n_folds=n_folds, seed=seed)
+                test_sets[key] = ev.fold_test_split(dataset, split, fold)
         else:
-            fold = -1  # evaluated on the full dataset
-            test_set = dataset
-        accs = ev.noise_sweep(model, test_set, etas, args.seed)
+            key, fold = None, -1  # evaluated on the full dataset
+            test_sets[key] = dataset
+        ev._check_bands(model, test_sets[key])
+        checkpoints.append((path, fold, model, key))
+
+    accuracies = {}  # checkpoint index -> accuracy per eta
+    for key, test_set in test_sets.items():
+        indices = [k for k, ckpt in enumerate(checkpoints) if ckpt[3] == key]
+        swept = ev._sweep([checkpoints[k][2] for k in indices], test_set,
+                          etas, args.seed)
+        accuracies.update(zip(indices, swept))
+
+    rows = []
+    curves = []
+    for index, (path, fold, model, _) in enumerate(checkpoints):
+        accs = accuracies[index]
         curves.append({"checkpoint": path, "fold": fold, "arch": model.arch,
                        "depth": model.depth, "etas": etas,
                        "accuracies": accs})

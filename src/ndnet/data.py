@@ -175,9 +175,9 @@ def _is_real(value) -> bool:
 LABEL_COLUMN = "label"
 
 
-# Data rows that ``load_csv`` converts at a time. Their cell strings are all
-# it holds besides the values already converted, so reading a large scene
-# does not hold every cell of it as a Python string at once.
+# Data rows that ``load_csv`` converts and ``save_csv`` writes at a time.
+# Only one block's cells exist as Python objects at once, so reading or
+# writing a large scene never holds every cell of it that way.
 _CSV_BLOCK_ROWS = 512
 
 
@@ -273,12 +273,21 @@ def _raise_first_bad_cell(path, header, rows, first_row):
 
 
 def save_csv(dataset: Dataset, path):
-    """Write a dataset CSV that ``load_csv`` reads back value-exactly."""
+    """Write a dataset CSV that ``load_csv`` reads back value-exactly.
+
+    The header goes through ``csv.writer``, which quotes band names that
+    need it. Data rows are written ``_CSV_BLOCK_ROWS`` at a time, each block
+    turned into Python floats and ints by one ``tolist``: a row is the
+    ``repr`` of its values and its label, joined by commas and ended by
+    ``\\r\\n``, which are the bytes ``csv.writer`` gives for the row.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.band_names) + [LABEL_COLUMN])
-        for row, label in zip(dataset.X, dataset.y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        csv.writer(fh).writerow(list(dataset.band_names) + [LABEL_COLUMN])
+        for start in range(0, dataset.n_samples, _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            fh.writelines(",".join(map(repr, [*row, label])) + "\r\n"
+                          for row, label in zip(dataset.X[block].tolist(),
+                                                dataset.y[block].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +400,10 @@ def inject_noise(dataset: Dataset, eta: float, seed: int) -> Dataset:
     if eta == 0:
         return dataset.copy()
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(dataset.X.shape)
-    noisy = dataset.X + eta * np.abs(dataset.X) * z
+    # (eta*|b|)*z + b, built in place: the draw is the only other
+    # scene-sized array.
+    noisy = np.abs(dataset.X)
+    noisy *= eta
+    noisy *= rng.standard_normal(dataset.X.shape)
+    noisy += dataset.X
     return Dataset(list(dataset.band_names), noisy, dataset.y.copy())

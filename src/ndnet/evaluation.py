@@ -127,15 +127,28 @@ def noise_sweep(model: net.Model, test_set, etas, seed: int):
     with the same arguments sees identical perturbed inputs. The eta = 0
     entry is the clean accuracy, bit for bit.
     """
+    return _sweep([model], test_set, etas, seed)[0]
+
+
+def _sweep(models, test_set, etas, seed: int):
+    """``noise_sweep`` of several models on one test set: one accuracy list
+    per model, each parallel to ``etas``.
+
+    Each realization is drawn once, through ``data.inject_noise``, and
+    every model is scored on it before the next is drawn, so one noisy
+    copy of the test set is alive at a time.
+    """
     etas = [float(e) for e in etas]
     if any(not (0 <= e <= 0.5) for e in etas):
         raise ValueError("etas must lie within [0, 0.5]")
     if etas != sorted(etas):
         raise ValueError("etas must be sorted ascending")
-    out = []
+    out = [[] for _ in models]
     for eta in etas:
         noisy = data_mod.inject_noise(test_set, eta, _noise_seed(seed, eta))
-        out.append(accuracy(model, noisy))
+        for accs, model in zip(out, models):
+            accs.append(accuracy(model, noisy))
+        del noisy  # not alive while the next realization is drawn
     return out
 
 

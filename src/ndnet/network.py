@@ -252,13 +252,14 @@ def adam_step(param, grad, state: AdamState, config: TrainConfig):
 # model
 
 
-@dataclass
+@dataclass(eq=False)
 class Model:
     """One architecture's layout and the vector of its learnable scalars.
 
-    The constructor copies ``vector``; ``nd_params``, ``attn_weights``,
-    ``attn_bias`` and ``layers`` (the dense hidden stack, ending with the
-    1-logit head) are views of the copy, laid out by ``_layout``.
+    The constructor copies ``vector`` and rejects it unless every value is
+    finite; ``nd_params``, ``attn_weights``, ``attn_bias`` and ``layers``
+    (the dense hidden stack, ending with the 1-logit head) are views of the
+    copy, laid out by ``_layout``. Models compare by identity.
     """
 
     arch: str
@@ -283,6 +284,10 @@ class Model:
                 f"{size} parameters, got a vector of shape {self.vector.shape}")
         self.indexer = _pair_indexer(self.n_bands)
         self._parameters = self.views(self.vector)
+        if not np.isfinite(self.vector).all():
+            name = next(name for (name, _), array in zip(shapes, self._parameters)
+                        if not np.isfinite(array).all())
+            raise ValueError(f"parameter {name} is not finite")
         named = dict(zip((name for name, _ in shapes), self._parameters))
         self.nd_params = None
         if "nd.alpha" in named:

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from ndnet import cli
+from ndnet import evaluation as ev
 from ndnet.cli import main
-from ndnet.data import (SynthSpec, default_synth_spec, load_csv, save_csv,
-                        synth_generate)
-from ndnet.network import build_model, checkpoint_to_json, save_checkpoint
+from ndnet.data import (SplitSpec, SynthSpec, default_synth_spec, load_csv,
+                        load_synth_spec, save_csv, synth_generate)
+from ndnet.network import (build_model, checkpoint_to_json, load_checkpoint,
+                           save_checkpoint)
 
 
 def spec_file(tmp_path, n_samples=100, seed=3):
@@ -274,6 +276,64 @@ class TestNoiseCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 0
         assert [opened.count(path) for path in ckpts] == [1, 1]
+
+    ETAS = [0.0, 0.05, 0.1, 0.3]  # 0.3 gives rows with negative values
+
+    def sweep(self, ckpts, spec, out):
+        """Run ``ndnet noise`` and return its curves."""
+        rc = main(["noise", *ckpts, "--synth", str(spec), "--etas",
+                   ",".join(map(repr, self.ETAS)), "--seed", "6",
+                   "--out", str(out)])
+        assert rc == 0
+        with open(os.path.join(only_run_dir(out), "noise.json")) as fh:
+            return json.load(fh)["curves"]
+
+    def test_one_realization_per_eta_without_fold_meta(self, crossval_run,
+                                                       tmp_path, noise_draws):
+        _, spec, run_dir = crossval_run
+        ckpts = []
+        for arch, depth in (("nd", 2), ("attnd", 3), ("mlp", 3)):
+            model = build_model(arch, depth, 10, seed=depth,
+                                band_names=[f"b{k}" for k in range(10)])
+            model.vector += np.random.default_rng(depth).uniform(
+                -0.5, 0.5, model.vector.size)
+            ckpts.append(str(tmp_path / f"{arch}.json"))
+            save_checkpoint(model, ckpts[-1])
+        curves = self.sweep(ckpts, spec, tmp_path / "o")
+        assert [eta for _, eta in noise_draws] == self.ETAS
+        dataset = synth_generate(load_synth_spec(spec))
+        for path, curve in zip(ckpts, curves):
+            assert curve["checkpoint"] == path and curve["fold"] == -1
+            assert curve["accuracies"] == ev.noise_sweep(
+                load_checkpoint(path), dataset, self.ETAS, 6)
+
+    def test_one_realization_per_eta_and_fold(self, crossval_run, tmp_path,
+                                              noise_draws):
+        _, spec, run_dir = crossval_run
+        folds = (1, 0, 1, 0)
+        ckpts = [os.path.join(run_dir, "checkpoints", f"fold_{k}.json")
+                 for k in folds]
+        curves = self.sweep(ckpts, spec, tmp_path / "o")
+        # fold 1's test set, then fold 0's
+        assert [eta for _, eta in noise_draws] == 2 * self.ETAS
+        dataset = synth_generate(load_synth_spec(spec))
+        for fold, path, curve in zip(folds, ckpts, curves):
+            assert curve["checkpoint"] == path and curve["fold"] == fold
+            test_set = ev.fold_test_split(dataset, SplitSpec(n_folds=10, seed=9),
+                                          fold)
+            assert curve["accuracies"] == ev.noise_sweep(
+                load_checkpoint(path), test_set, self.ETAS, 6)
+
+    def test_bad_later_checkpoint_fails_before_any_sweep(self, crossval_run,
+                                                        tmp_path, capsys):
+        _, spec, run_dir = crossval_run
+        good = os.path.join(run_dir, "checkpoints", "fold_0.json")
+        rc = main(["noise", good, str(tmp_path / "missing.json"), "--synth",
+                   str(spec), "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [
+            f"error: ValueError: missing checkpoint {tmp_path / 'missing.json'}"]
 
     def test_malformed_checkpoint_json_is_one_error_line(self, crossval_run,
                                                          tmp_path, capsys):

@@ -153,6 +153,40 @@ class TestLoadCsv:
             load_csv(write(tmp_path, "b1,b2,label\n"))
 
 
+def csv_writer_bytes(dataset, path):
+    """The bytes of a dataset CSV written one ``csv.writer`` row at a time,
+    each value through ``repr(float(v))``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(dataset.band_names) + ["label"])
+        for row, label in zip(dataset.X, dataset.y):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    return path.read_bytes()
+
+
+class TestSaveCsv:
+    NAMES = ["B,2", 'say "red"', "near infrared", "b4", "b5"]
+    VALUES = [-0.0, 5e-324, 1.0 / 3.0, 1e300, 1.0]
+
+    @pytest.mark.parametrize("n_rows", [1, 2 * data._CSV_BLOCK_ROWS + 17])
+    def test_bytes_equal_the_csv_writer_rows(self, tmp_path, rng, n_rows):
+        X = rng.uniform(0, 1, (n_rows, 5)) * rng.choice([1e-9, 1.0, 1e6], (n_rows, 5))
+        X[-1] = self.VALUES[::-1]
+        X[0] = self.VALUES
+        ds = Dataset(self.NAMES, X, rng.integers(0, 2, n_rows))
+        save_csv(ds, tmp_path / "blocks.csv")
+        expected = csv_writer_bytes(ds, tmp_path / "rows.csv")
+        assert (tmp_path / "blocks.csv").read_bytes() == expected
+        assert expected.startswith(b'"B,2","say ""red""",near infrared,b4,b5,label\r\n'
+                                   b"-0.0,5e-324,0.3333333333333333,1e+300,1.0,")
+
+    def test_zero_bands_match_the_csv_writer_rows(self, tmp_path):
+        ds = Dataset([], np.zeros((3, 0)), [1, 0, 1])
+        save_csv(ds, tmp_path / "blocks.csv")
+        assert ((tmp_path / "blocks.csv").read_bytes()
+                == csv_writer_bytes(ds, tmp_path / "rows.csv") == b"label\r\n1\r\n0\r\n1\r\n")
+
+
 class TestDatasetContainer:
     def test_label_domain_enforced(self):
         with pytest.raises(ValueError, match="labels"):
@@ -399,6 +433,16 @@ class TestInjectNoise:
         c = inject_noise(ds, 0.1, seed=43)
         assert np.array_equal(a.X, b.X)
         assert not np.array_equal(a.X, c.X)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("eta", [0.02, 0.1, 0.5])
+    def test_bits_equal_the_textbook_formula(self, eta, seed, rng):
+        X = rng.uniform(0, 2, (300, 7)) * rng.choice([1e-8, 1.0, 1e5], (300, 7))
+        noisy = inject_noise(Dataset([f"b{k}" for k in range(7)], X,
+                                     rng.integers(0, 2, 300)), eta, seed)
+        z = np.random.default_rng(seed).standard_normal(X.shape)
+        expected = X + eta * np.abs(X) * z
+        assert np.array_equal(noisy.X.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("eta", [-0.1, 0.51, 1.0])
     def test_eta_range_validated(self, eta):

@@ -191,6 +191,31 @@ class TestNoiseSweep:
                             noise_sweep(mirror, ds, [0.0, 0.1], seed=7)):
             assert eta_accs[0] + eta_accs[1] == pytest.approx(1.0)
 
+    def test_one_realization_per_eta_through_the_data_module(self, rng,
+                                                             noise_draws):
+        # drawn through the module attribute, eta 0 included, so a caller
+        # that wraps data.inject_noise sees every realization scored
+        model = build_model("nd", 2, 4, seed=5)
+        ds = Dataset(model.band_names, rng.uniform(0.01, 1, (40, 4)),
+                     rng.integers(0, 2, 40))
+        noise_sweep(model, ds, [0.0, 0.05, 0.1], seed=3)
+        assert [eta for _, eta in noise_draws] == [0.0, 0.05, 0.1]
+        assert all(dataset is ds for dataset, _ in noise_draws)
+
+    def test_models_swept_together_match_their_own_sweeps(self, rng,
+                                                           noise_draws):
+        models = [build_model(arch, 3, 4, seed=k)
+                  for k, arch in enumerate(("nd", "attnd", "mlp"))]
+        for model in models:
+            model.vector += rng.uniform(-0.5, 0.5, model.vector.size)
+        ds = Dataset(models[0].band_names, rng.uniform(0.01, 1, (80, 4)),
+                     rng.integers(0, 2, 80))
+        etas = [0.0, 0.1, 0.3, 0.5]  # 0.3 and 0.5 give negative rows
+        alone = [noise_sweep(model, ds, etas, seed=11) for model in models]
+        del noise_draws[:]
+        assert evaluation._sweep(models, ds, etas, seed=11) == alone
+        assert [eta for _, eta in noise_draws] == etas
+
     def test_unsorted_etas_rejected(self):
         model = constant_logit_model(1.0)
         ds = uniform_dataset(10, 3, label=1)

@@ -410,6 +410,38 @@ class TestModelShapes:
         with pytest.raises(ValueError, match="eps"):
             build_model("nd", 2, 4, eps=True)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arch", ["nd", "attnd", "mlp"])
+    def test_non_finite_values_rejected_naming_the_first_array(self, arch,
+                                                               value):
+        model = build_model(arch, 3, 4, seed=0)
+        names = model.parameter_names()
+        ends = np.cumsum([p.size for p in model.parameters()])
+        for k, name in enumerate(names):
+            vector = model.vector.copy()
+            vector[ends[k] - 1] = value  # the array's last value
+            vector[-1] = value  # and the head bias, last of all
+            with pytest.raises(ValueError, match=f"^parameter {name} is not finite$"):
+                Model(arch, 3, model.band_names, model.eps, vector)
+
+    def test_mlp_nan_and_attention_inf_rejected(self):
+        names = [f"b{k}" for k in range(4)]
+        mlp = build_model("mlp", 2, 4, band_names=names)
+        vector = mlp.vector.copy()
+        vector[0] = np.nan
+        with pytest.raises(ValueError, match="dense0.weights is not finite"):
+            Model("mlp", 2, names, 1e-8, vector)
+        attnd = build_model("attnd", 2, 4)
+        attnd.attn_weights[2, 1] = np.inf
+        with pytest.raises(ValueError, match="attn.weights is not finite"):
+            attnd.copy()
+
+    def test_models_compare_by_identity(self):
+        model = build_model("nd", 2, 4)
+        assert (model == model.copy()) is False
+        assert model == model
+        assert model != model.copy()
+
     @pytest.mark.parametrize("arch", ["nd", "attnd", "mlp"])
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_rebuilt_models_are_accepted(self, arch, depth):
