@@ -184,9 +184,7 @@ def cmd_gradcheck(args) -> int:
                           tolerance=args.tol, seed=args.seed, eps=args.eps)
     run_dir = _run_dir(args)
     out_path = os.path.join(run_dir, "gradcheck.json")
-    fields = asdict(report)
-    del fields["runtime_s"]  # wall-clock time would make reruns differ
-    _write_json(out_path, _meta(args), {"report": fields})
+    _write_json(out_path, _meta(args), {"report": asdict(report)})
     print(f"gradcheck {args.arch} depth={args.depth}: "
           f"worst relative error {report.worst():.3e} "
           f"(tolerance {report.tolerance:g})")
@@ -264,7 +262,7 @@ def cmd_crossval(args) -> int:
     run_dir = _run_dir(args)
     meta = _meta(args)
     _write_json(os.path.join(run_dir, "report.json"), meta,
-                {"report": ev.report_to_dict(report)})
+                {"report": asdict(report)})
     with open(os.path.join(run_dir, "report.txt"), "w", encoding="utf-8") as fh:
         _write_header(fh, meta)
         fh.write("\n" + ev.report_to_text(report))

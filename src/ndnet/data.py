@@ -54,18 +54,20 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
         if self.X.ndim != 2 or self.X.shape[1] != len(self.band_names):
             raise ValueError(
                 f"X shape {self.X.shape} inconsistent with "
                 f"{len(self.band_names)} band names"
             )
-        if self.y.shape != (self.X.shape[0],):
+        if y.shape != (self.X.shape[0],):
             raise ValueError("labels must be one per row")
         if not np.isfinite(self.X).all():
             raise ValueError("band values must be finite")
-        if not np.isin(self.y, (0, 1)).all():
+        # checked before the cast, which would truncate 0.5 or 1.7
+        if y.dtype.kind not in "buif" or not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
+        self.y = y.astype(np.int64, copy=False)
 
     @property
     def n_samples(self) -> int:
@@ -77,7 +79,8 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(list(self.band_names), self.X[idx].copy(), self.y[idx].copy())
+        # indexing by an integer array already copies
+        return Dataset(list(self.band_names), self.X[idx], self.y[idx])
 
     def copy(self) -> "Dataset":
         return Dataset(list(self.band_names), self.X.copy(), self.y.copy())
@@ -294,54 +297,48 @@ def save_csv(dataset: Dataset, path):
 # stratified cross-validation splits
 
 
-def _class_fold_layout(dataset: Dataset, spec: SplitSpec):
-    """Per class: dealt (shuffled) order and round-robin fold membership."""
+# Share of the non-test rows of a class that train on (70% train and 20%
+# validation of the whole).
+_TRAIN_SHARE = 0.70 / (0.70 + 0.20)
+
+
+def _fold_rows(labels, spec: SplitSpec, fold: int):
+    """Sorted row indices of the (train, validation, test) parts of a fold.
+
+    Each class is shuffled once by the spec seed (class 0 first) and dealt
+    round-robin into folds: its dealt rows ``fold::n_folds`` are the test
+    rows. The rest of the class keeps its dealt order and splits
+    train/validation 70:20 (``_TRAIN_SHARE``).
+    """
+    if not (0 <= fold < spec.n_folds):
+        raise ValueError(f"fold {fold} out of range for {spec.n_folds} folds")
     rng = np.random.default_rng(spec.seed)
-    layout = []
+    train, val, test = [], [], []
     for cls in (0, 1):
-        members = np.flatnonzero(dataset.y == cls)
+        members = np.flatnonzero(labels == cls)
         if len(members) < spec.n_folds:
             raise ValueError(
                 f"class {cls} has {len(members)} samples, fewer than "
                 f"{spec.n_folds} folds"
             )
         dealt = members[rng.permutation(len(members))]
-        layout.append(dealt)
-    return layout
-
-
-# Share of the non-test rows of a class that train on (70% train and 20%
-# validation of the whole).
-_TRAIN_SHARE = 0.70 / (0.70 + 0.20)
+        test.append(dealt[fold::spec.n_folds])
+        rest = np.delete(dealt, np.s_[fold::spec.n_folds])
+        n_train = int(round(len(rest) * _TRAIN_SHARE))
+        train.append(rest[:n_train])
+        val.append(rest[n_train:])
+    return tuple(np.sort(np.concatenate(part)) for part in (train, val, test))
 
 
 def stratified_split(dataset: Dataset, spec: SplitSpec, fold: int):
     """Deterministic stratified (train, validation, test) split for a fold.
 
-    Each class is shuffled once by the spec seed and dealt round-robin
-    into folds; fold ``fold`` forms the test set. The rest of each class
-    keeps its dealt order and splits train/validation 70:20
-    (``_TRAIN_SHARE``). Splits are disjoint and cover the
-    dataset, with class proportions within one sample of the global ones.
+    The rows of each part are those of ``_fold_rows``, in dataset order.
+    Splits are disjoint and cover the dataset, with class proportions
+    within one sample of the global ones.
     """
-    if not (0 <= fold < spec.n_folds):
-        raise ValueError(f"fold {fold} out of range for {spec.n_folds} folds")
-    layout = _class_fold_layout(dataset, spec)
-
-    train_idx, val_idx, test_idx = [], [], []
-    for dealt in layout:
-        in_test = np.zeros(len(dealt), dtype=bool)
-        in_test[fold::spec.n_folds] = True
-        test_idx.append(dealt[in_test])
-        remaining = dealt[~in_test]
-        n_train = int(round(len(remaining) * _TRAIN_SHARE))
-        train_idx.append(remaining[:n_train])
-        val_idx.append(remaining[n_train:])
-
-    def gather(parts):
-        return dataset.subset(np.sort(np.concatenate(parts)))
-
-    return gather(train_idx), gather(val_idx), gather(test_idx)
+    return tuple(dataset.subset(rows)
+                 for rows in _fold_rows(dataset.y, spec, fold))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ logit, central difference and ``GradcheckReport`` is the one that a full
 from __future__ import annotations
 
 import functools
-import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +56,6 @@ __all__ = [
     "run_crossval",
     "attach_noise_sweep",
     "fold_test_split",
-    "report_to_dict",
     "report_to_text",
     "history_csv_rows",
     "GRADCHECK_TARGETS",
@@ -114,10 +112,10 @@ def efficiency(accuracy_pct: float, n_params: int) -> float:
 # noise sweep
 
 
-def _noise_seed(seed: int, eta: float) -> int:
-    """One fixed noise realization per (seed, eta) pair."""
-    eta_bits = int(np.float64(eta).view(np.uint64))
-    return int(np.random.SeedSequence([int(seed), eta_bits]).generate_state(1)[0])
+def _child_seed(*keys) -> int:
+    """A seed derived from integer keys: one noise realization per (seed,
+    eta's float64 bits), one model seed per (config seed, fold)."""
+    return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1)[0])
 
 
 def noise_sweep(model: net.Model, test_set, etas, seed: int):
@@ -145,7 +143,8 @@ def _sweep(models, test_set, etas, seed: int):
         raise ValueError("etas must be sorted ascending")
     out = [[] for _ in models]
     for eta in etas:
-        noisy = data_mod.inject_noise(test_set, eta, _noise_seed(seed, eta))
+        noisy = data_mod.inject_noise(
+            test_set, eta, _child_seed(seed, np.float64(eta).view(np.uint64)))
         for accs, model in zip(out, models):
             accs.append(accuracy(model, noisy))
         del noisy  # not alive while the next realization is drawn
@@ -194,8 +193,11 @@ def top_asymmetric(ratio_matrix: CoeffRatioMatrix, k: int):
     """The k band pairs deviating most from the symmetric 1:1 weighting.
 
     Asymmetry of a pair is max(ratio, 1/ratio); ties keep lexicographic
-    pair order. k larger than the pair count returns every pair.
+    pair order. ``k`` must be an int of at least 1; k larger than the pair
+    count returns every pair.
     """
+    if not (data_mod._is_int(k) and k >= 1):
+        raise ValueError(f"k must be an integer of at least 1, got {k!r}")
     indexer = _pair_indexer(ratio_matrix.n_bands)
     entries = []
     for i, j in indexer.pairs:
@@ -209,7 +211,7 @@ def top_asymmetric(ratio_matrix: CoeffRatioMatrix, k: int):
             "asymmetry": max(ratio, 1.0 / ratio),
         })
     entries.sort(key=lambda e: -e["asymmetry"])  # stable: ties keep pair order
-    return entries[: max(0, min(k, len(entries)))]
+    return entries[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +247,6 @@ class GradcheckReport:
     eps: float
     max_errors: dict  # family -> worst relative error observed
     passed: bool
-    runtime_s: float
 
     def worst(self) -> float:
         return max(self.max_errors.values()) if self.max_errors else 0.0
@@ -430,18 +431,16 @@ def gradcheck(target: str, depth: int = 3, trials: int = 100,
                                        and max_coords >= 1):
         raise ValueError(f"max_coords must be None or an int of at least 1, "
                          f"got {max_coords!r}")
-    start = time.perf_counter()
     if target in _LAYER_VARIANTS:
         worst = _gradcheck_layer(target, trials, seed, eps)
         report_depth = None
     else:
         worst = _gradcheck_model(target, depth, trials, seed, eps, max_coords)
         report_depth = depth
-    runtime = time.perf_counter() - start
     passed = all(err < tolerance for err in worst.values())
     return GradcheckReport(target=target, depth=report_depth, trials=trials,
                            tolerance=tolerance, eps=eps, max_errors=worst,
-                           passed=passed, runtime_s=runtime)
+                           passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +472,11 @@ class CrossvalResult:
     split: data_mod.SplitSpec
 
 
-def _fold_seed(base_seed: int, fold: int) -> int:
-    return int(np.random.SeedSequence([int(base_seed), int(fold)])
-               .generate_state(1)[0])
-
-
 def crossval_fold(arch: str, depth: int, dataset, config: net.TrainConfig,
                   split: data_mod.SplitSpec, fold: int):
     """Train and test one fold; returns (fold, test_accuracy, model, history)."""
     train_set, val_set, test_set = data_mod.stratified_split(dataset, split, fold)
-    seed = _fold_seed(config.seed, fold)
+    seed = _child_seed(config.seed, fold)
     model = net.build_model(arch, depth, dataset.n_bands, seed=seed,
                             eps=config.eps, band_names=dataset.band_names)
     fold_config = replace(config, seed=seed)
@@ -533,8 +527,8 @@ def run_crossval(arch: str, depth: int, dataset, config: net.TrainConfig,
 
 def fold_test_split(dataset, split: data_mod.SplitSpec, fold: int):
     """The held-out test part of one fold."""
-    _, _, test_set = data_mod.stratified_split(dataset, split, fold)
-    return test_set
+    _, _, test_rows = data_mod._fold_rows(dataset.y, split, fold)
+    return dataset.subset(test_rows)
 
 
 def attach_noise_sweep(result: CrossvalResult, dataset, etas, seed: int
@@ -565,10 +559,6 @@ def attach_noise_sweep(result: CrossvalResult, dataset, etas, seed: int
 
 # ---------------------------------------------------------------------------
 # report serialization
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    return asdict(report)
 
 
 def report_to_text(report: EvalReport) -> str:

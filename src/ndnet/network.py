@@ -770,8 +770,6 @@ def model_from_checkpoint_dict(doc: dict) -> Model:
         if value.shape != shape:
             raise ValueError(f"checkpoint parameter {name} has shape "
                              f"{value.shape}, expected {shape}")
-        if not np.isfinite(value).all():
-            raise ValueError(f"checkpoint parameter {name} is not finite")
         values.append(value.ravel())
     if doc["activations"] != list(activations):
         raise ValueError(f"checkpoint activations {doc['activations']!r} do not "

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from ndnet.evaluation import (
     coeff_ratios,
     efficiency,
     gradcheck,
-    report_to_dict,
     run_crossval,
 )
 from ndnet.ndlayer import (
@@ -296,7 +296,7 @@ def test_criterion_6_training_protocol(experiment):
 
     rerun = run_crossval("nd", 2, dataset, experiment["config"], n_folds=10)
     attach_noise_sweep(rerun, dataset, NOISE_ETAS, seed=EXPERIMENT_SEED)
-    identical = report_to_dict(rerun.report) == report_to_dict(result.report)
+    identical = asdict(rerun.report) == asdict(result.report)
 
     eta_zero_exact = all(
         fold_accs[0] == clean

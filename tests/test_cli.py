@@ -388,6 +388,18 @@ class TestCoeffsCommand:
                                             "top_pairs.csv"))
         assert len(top) == 3
 
+    @pytest.mark.parametrize("topk", ["0", "-3"])
+    def test_topk_below_one_is_one_error_line(self, topk, tmp_path, capsys):
+        ckpt = tmp_path / "fresh.json"
+        save_checkpoint(build_model("nd", 2, 4, seed=0), ckpt)
+        out = tmp_path / "out"
+        rc = main(["coeffs", str(ckpt), "--topk", topk, "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert err == [f"error: ValueError: k must be an integer of at least "
+                       f"1, got {int(topk)}"]
+        assert not out.exists()
+
     def test_checkpoint_without_nd_layer_errors(self, tmp_path, capsys):
         model = build_model("mlp", 2, 10, seed=0)
         ckpt = tmp_path / "mlp.json"

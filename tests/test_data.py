@@ -200,6 +200,19 @@ class TestDatasetContainer:
         with pytest.raises(ValueError, match="finite"):
             Dataset(["a"], np.array([[np.inf]]), np.array([1]))
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.7], [0.9, 1.0], ["0", "1"],
+                                        [0, None]])
+    def test_labels_checked_before_the_cast(self, labels):
+        with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
+            Dataset(["a"], np.ones((2, 1)), labels)
+
+    @pytest.mark.parametrize("labels", [[True, False], [0.0, 1.0],
+                                        np.array([1, 0], dtype=np.uint8)])
+    def test_bool_float_and_unsigned_labels_build(self, labels):
+        ds = Dataset(["a"], np.ones((2, 1)), labels)
+        assert ds.y.dtype == np.int64
+        assert ds.y.tolist() == [int(v) for v in labels]
+
     def test_subset_copies(self):
         ds = Dataset(["a"], np.array([[1.0], [2.0], [3.0]]),
                      np.array([0, 1, 0]))
@@ -216,7 +229,74 @@ def balanced_dataset(n0, n1, n_bands=3, seed=0):
     return Dataset([f"b{k}" for k in range(n_bands)], X, y)
 
 
+def mask_reference_split(dataset, spec, fold):
+    """The fold rule written as a per-class layout and a test mask per class,
+    kept here to pin ``stratified_split`` to it."""
+    if not (0 <= fold < spec.n_folds):
+        raise ValueError(f"fold {fold} out of range for {spec.n_folds} folds")
+    rng = np.random.default_rng(spec.seed)
+    layout = []
+    for cls in (0, 1):
+        members = np.flatnonzero(dataset.y == cls)
+        if len(members) < spec.n_folds:
+            raise ValueError(
+                f"class {cls} has {len(members)} samples, fewer than "
+                f"{spec.n_folds} folds"
+            )
+        layout.append(members[rng.permutation(len(members))])
+    train_idx, val_idx, test_idx = [], [], []
+    for dealt in layout:
+        in_test = np.zeros(len(dealt), dtype=bool)
+        in_test[fold::spec.n_folds] = True
+        test_idx.append(dealt[in_test])
+        remaining = dealt[~in_test]
+        n_train = int(round(len(remaining) * (0.70 / (0.70 + 0.20))))
+        train_idx.append(remaining[:n_train])
+        val_idx.append(remaining[n_train:])
+    return tuple(dataset.subset(np.sort(np.concatenate(parts)))
+                 for parts in (train_idx, val_idx, test_idx))
+
+
+def shuffled_dataset(n0, n1, seed):
+    """``n0`` rows of class 0 and ``n1`` of class 1 in a seeded order."""
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.array([0] * n0 + [1] * n1))
+    return Dataset(["b0", "b1"], rng.uniform(0.01, 1.0, (n0 + n1, 2)), y)
+
+
 class TestStratifiedSplit:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_mask_reference(self, draw):
+        n_folds = draw.draw(st.integers(2, 9), label="n_folds")
+        n0 = draw.draw(st.integers(n_folds, 12 * n_folds), label="n0")
+        n1 = draw.draw(st.integers(n_folds, 40 * n_folds), label="n1")
+        fold = draw.draw(st.integers(0, n_folds - 1), label="fold")
+        spec = SplitSpec(n_folds=n_folds,
+                         seed=draw.draw(st.integers(0, 2 ** 64), label="seed"))
+        ds = shuffled_dataset(n0, n1, draw.draw(st.integers(0, 2 ** 32)))
+        got = stratified_split(ds, spec, fold)
+        want = mask_reference_split(ds, spec, fold)
+        assert type(got) is tuple and len(got) == 3
+        for part, ref in zip(got, want):
+            assert part.band_names == ref.band_names
+            assert part.X.tobytes() == ref.X.tobytes()
+            assert part.y.dtype == ref.y.dtype
+            assert part.y.tobytes() == ref.y.tobytes()
+
+    @pytest.mark.parametrize("n0, n1, n_folds, fold", [
+        (20, 20, 10, 10), (20, 20, 10, -1), (20, 20, 3, 7),
+        (9, 30, 10, 0), (30, 9, 10, 4), (1, 1, 2, 1), (0, 5, 2, 0),
+        (5, 0, 2, 1), (3, 3, 4, 4), (3, 3, 4, -2)])
+    def test_errors_match_the_mask_reference(self, n0, n1, n_folds, fold):
+        ds = shuffled_dataset(n0, n1, seed=n0 + n1)
+        spec = SplitSpec(n_folds=n_folds, seed=5)
+        with pytest.raises(ValueError) as ref:
+            mask_reference_split(ds, spec, fold)
+        with pytest.raises(ValueError) as got:
+            stratified_split(ds, spec, fold)
+        assert str(got.value) == str(ref.value)
+
     def test_exact_divisibility_fold_zero(self):
         ds = balanced_dataset(50, 50)
         spec = SplitSpec(seed=3)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from ndnet.evaluation import (
     gradcheck,
     history_csv_rows,
     noise_sweep,
-    report_to_dict,
     report_to_text,
     run_crossval,
     top_asymmetric,
@@ -269,6 +269,12 @@ class TestCoeffRatios:
         assert len(top_asymmetric(coeff_ratios(model), k=50)) == 3
         assert len(top_asymmetric(coeff_ratios(model), k=2)) == 2
 
+    @pytest.mark.parametrize("k", [0, -3, 2.5, True, "3", None])
+    def test_k_must_be_an_int_of_at_least_one(self, k):
+        ratios = coeff_ratios(build_model("nd", 2, 3, seed=0))
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            top_asymmetric(ratios, k)
+
     def test_ties_keep_pair_order(self):
         model = build_model("nd", 2, 4, seed=0)  # all ratios exactly 1
         top = top_asymmetric(coeff_ratios(model), k=6)
@@ -422,7 +428,7 @@ class TestRunCrossval:
         ds = small_synth()
         a = run_crossval("nd", 2, ds, QUICK, n_folds=10).report
         b = run_crossval("nd", 2, ds, QUICK, n_folds=10).report
-        assert report_to_dict(a) == report_to_dict(b)
+        assert asdict(a) == asdict(b)
 
     def test_fold_runner_matches_serial(self):
         from ndnet.evaluation import crossval_fold
@@ -432,7 +438,7 @@ class TestRunCrossval:
             "nd", 2, ds, QUICK, n_folds=10,
             fold_runner=lambda args: [crossval_fold(*a)
                                       for a in reversed(args)]).report
-        assert report_to_dict(serial) == report_to_dict(shuffled)
+        assert asdict(serial) == asdict(shuffled)
 
     def test_divergence_names_the_fold(self):
         from ndnet.evaluation import crossval_fold
@@ -468,7 +474,7 @@ class TestRunCrossval:
         ds = small_synth()
         result = run_crossval("nd", 2, ds, QUICK, n_folds=10)
         attach_noise_sweep(result, ds, [0.0, 0.10], seed=3)
-        doc = report_to_dict(result.report)
+        doc = asdict(result.report)
         assert doc["arch"] == "nd" and doc["n_params"] == 136
         text = report_to_text(result.report)
         assert "mean +/- std" in text and "degradation" in text
@@ -486,3 +492,21 @@ class TestFoldTestSplit:
             direct = stratified_split(ds, split, fold)[2]
             via_helper = fold_test_split(ds, split, fold)
             assert np.array_equal(direct.X, via_helper.X)
+
+    def test_builds_only_the_test_subset(self, monkeypatch):
+        from ndnet.data import stratified_split
+        ds = small_synth()
+        split = SplitSpec(n_folds=10, seed=12)
+        expected = stratified_split(ds, split, 3)[2]
+        built = []
+        subset = Dataset.subset
+
+        def counting(self, indices):
+            built.append(len(indices))
+            return subset(self, indices)
+
+        monkeypatch.setattr(Dataset, "subset", counting)
+        test_set = fold_test_split(ds, split, 3)
+        assert built == [expected.n_samples]
+        assert test_set.X.tobytes() == expected.X.tobytes()
+        assert test_set.y.tobytes() == expected.y.tobytes()

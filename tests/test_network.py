@@ -990,6 +990,13 @@ class TestCheckpoints:
         assert doc["band_names"] == model.band_names
         assert set(doc["params"]) == set(model.parameter_names())
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_named_once(self, value):
+        doc = json.loads(checkpoint_to_json(build_model("nd", 2, 4, seed=0)))
+        doc["params"]["nd.alpha"][2] = value
+        with pytest.raises(ValueError, match="^parameter nd.alpha is not finite$"):
+            model_from_checkpoint_dict(doc)
+
     def test_meta_block_round_trips(self, tmp_path):
         model = build_model("nd", 2, 4, seed=0)
         path = tmp_path / "m.json"
