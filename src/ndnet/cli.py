@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -201,7 +201,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_synth(args) -> int:
     spec = data_mod.load_synth_spec(args.synth)
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = replace(spec, seed=args.seed)  # validated like the file's seed
     dataset = data_mod.synth_generate(spec)
     run_dir = _run_dir(args)
     csv_path = os.path.join(run_dir, "dataset.csv")
@@ -303,14 +303,13 @@ def cmd_noise(args) -> int:
     set and level. Every checkpoint is loaded and checked first, in
     argument order; then each distinct test set (the whole dataset, or a
     fold's test part keyed by fold, split seed and fold count) is swept
-    once for all of its checkpoints. Output keeps the argument order."""
+    once for all of its checkpoints. Output keeps the argument order, and
+    the run directory is made only after the sweeps."""
     etas = _parse_etas(args.etas)
     dataset = _load_dataset(args)
-    run_dir = _run_dir(args)
-    meta = _meta(args)
 
-    checkpoints = []  # (path, fold, model, test-set key), in argument order
-    test_sets = {}
+    checkpoints = []  # (path, fold, model, test set), in argument order
+    test_sets = {}  # fold key or None -> test set, one object per key
     for path in args.checkpoints:
         if not os.path.exists(path):
             raise ValueError(f"missing checkpoint {path}")
@@ -335,19 +334,12 @@ def cmd_noise(args) -> int:
             key, fold = None, -1  # evaluated on the full dataset
             test_sets[key] = dataset
         ev._check_bands(model, test_sets[key])
-        checkpoints.append((path, fold, model, key))
+        checkpoints.append((path, fold, model, test_sets[key]))
 
-    accuracies = {}  # checkpoint index -> accuracy per eta
-    for key, test_set in test_sets.items():
-        indices = [k for k, ckpt in enumerate(checkpoints) if ckpt[3] == key]
-        swept = ev._sweep([checkpoints[k][2] for k in indices], test_set,
-                          etas, args.seed)
-        accuracies.update(zip(indices, swept))
-
-    rows = []
-    curves = []
-    for index, (path, fold, model, _) in enumerate(checkpoints):
-        accs = accuracies[index]
+    swept = ev._sweep([ckpt[2] for ckpt in checkpoints],
+                      [ckpt[3] for ckpt in checkpoints], etas, args.seed)
+    rows, curves = [], []
+    for (path, fold, model, _), accs in zip(checkpoints, swept):
         curves.append({"checkpoint": path, "fold": fold, "arch": model.arch,
                        "depth": model.depth, "etas": etas,
                        "accuracies": accs})
@@ -356,6 +348,8 @@ def cmd_noise(args) -> int:
         print(f"{path}: " + "  ".join(
             f"eta={eta:g}:{acc:.4f}" for eta, acc in zip(etas, accs)))
 
+    run_dir = _run_dir(args)
+    meta = _meta(args)
     _write_csv(os.path.join(run_dir, "sweep.csv"), meta,
                ("eta", "value", "fold", "arch", "depth"), rows)
     _write_json(os.path.join(run_dir, "noise.json"), meta, {"curves": curves})

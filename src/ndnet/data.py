@@ -78,7 +78,12 @@ class Dataset:
         return self.X.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.intp)
+        """The rows at integer ``indices``, in order; a mask is rejected."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind == "b" or (idx.dtype.kind not in "iu" and idx.size):
+            raise ValueError(f"subset takes integer row indices, got an array "
+                             f"of dtype {idx.dtype}")
+        idx = idx.astype(np.intp, copy=False)
         # indexing by an integer array already copies
         return Dataset(list(self.band_names), self.X[idx], self.y[idx])
 
@@ -98,6 +103,7 @@ class SplitSpec:
         if not (_is_int(self.n_folds) and self.n_folds >= 2):
             raise ValueError(f"n_folds must be an integer >= 2 (need at least "
                              f"2 folds), got {self.n_folds!r}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -139,9 +145,7 @@ class SynthSpec:
                 and 0 < self.gain_low <= self.gain_high):
             raise ValueError("gain range must be finite reals with "
                              "0 < low <= high")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got "
-                             f"{self.seed!r}")
+        _check_seed(self.seed)
 
     @property
     def n_bands(self) -> int:
@@ -164,6 +168,12 @@ class SynthSpec:
 def _is_int(value) -> bool:
     """An integer that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_seed(seed):
+    """The one seed rule: an int (not a bool) of at least 0."""
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _is_real(value) -> bool:

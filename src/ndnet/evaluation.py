@@ -125,29 +125,35 @@ def noise_sweep(model: net.Model, test_set, etas, seed: int):
     with the same arguments sees identical perturbed inputs. The eta = 0
     entry is the clean accuracy, bit for bit.
     """
-    return _sweep([model], test_set, etas, seed)[0]
+    return _sweep([model], [test_set], etas, seed)[0]
 
 
-def _sweep(models, test_set, etas, seed: int):
-    """``noise_sweep`` of several models on one test set: one accuracy list
+def _sweep(models, test_sets, etas, seed: int):
+    """``noise_sweep`` of each model on its own test set: one accuracy list
     per model, each parallel to ``etas``.
 
-    Each realization is drawn once, through ``data.inject_noise``, and
-    every model is scored on it before the next is drawn, so one noisy
-    copy of the test set is alive at a time.
+    Each distinct test-set object is swept once, in order of first use,
+    for all of its models. Each realization is drawn once, through
+    ``data.inject_noise``, and every model of its test set is scored on
+    it before the next is drawn, so one noisy copy is alive at a time.
     """
     etas = [float(e) for e in etas]
     if any(not (0 <= e <= 0.5) for e in etas):
         raise ValueError("etas must lie within [0, 0.5]")
     if etas != sorted(etas):
         raise ValueError("etas must be sorted ascending")
+    data_mod._check_seed(seed)
     out = [[] for _ in models]
-    for eta in etas:
-        noisy = data_mod.inject_noise(
-            test_set, eta, _child_seed(seed, np.float64(eta).view(np.uint64)))
-        for accs, model in zip(out, models):
-            accs.append(accuracy(model, noisy))
-        del noisy  # not alive while the next realization is drawn
+    groups = {}  # id(test set) -> (test set, [(accuracies, model)])
+    for accs, model, test_set in zip(out, models, test_sets, strict=True):
+        groups.setdefault(id(test_set), (test_set, []))[1].append((accs, model))
+    for test_set, members in groups.values():
+        for eta in etas:
+            noisy = data_mod.inject_noise(
+                test_set, eta, _child_seed(seed, np.float64(eta).view(np.uint64)))
+            for accs, model in members:
+                accs.append(accuracy(model, noisy))
+            del noisy  # not alive while the next realization is drawn
     return out
 
 
@@ -347,8 +353,7 @@ def _kink_free_sample(arch, depth, rng, eps):
     for _attempt in range(200):
         model = _random_model(arch, depth, 10, rng, eps)
         bands = rng.uniform(0.01, 1.0, size=10)
-        _, probe = net._model_forward(model, bands[None, :],
-                                      net._coefficients(model, softplus))
+        _, probe = net._model_forward(model, bands[None, :])
         if all(np.abs(dense.pre).min() >= RELU_KINK_MARGIN
                for layer, dense in zip(model.layers, probe.dense)
                if layer.activation == "relu"):
@@ -393,9 +398,7 @@ def _replay_objectives(model, row, cache):
         return dense(0, x)
 
     def whole():
-        logit, _ = net._model_forward(model, row,
-                                      net._coefficients(model, softplus))
-        return float(logit[0])
+        return float(net._model_forward(model, row)[0][0])
 
     objectives = []
     for name in model.parameter_names():
@@ -419,7 +422,8 @@ def gradcheck(target: str, depth: int = 3, trials: int = 100,
     outputs). ``max_coords`` caps the coordinates checked per array per
     trial for the whole-model targets (nd depth 4 has 6 dense arrays, so
     up to 6 x 40 dense coordinates per trial at the default); ``None``
-    checks every coordinate. It must be None or an int of at least 1.
+    checks every coordinate. It must be None or an int of at least 1, and
+    ``seed`` an int of at least 0.
     """
     if target not in GRADCHECK_TARGETS:
         raise ValueError(f"unknown gradcheck target {target!r}")
@@ -431,6 +435,7 @@ def gradcheck(target: str, depth: int = 3, trials: int = 100,
                                        and max_coords >= 1):
         raise ValueError(f"max_coords must be None or an int of at least 1, "
                          f"got {max_coords!r}")
+    data_mod._check_seed(seed)
     if target in _LAYER_VARIANTS:
         worst = _gradcheck_layer(target, trials, seed, eps)
         report_depth = None
@@ -541,10 +546,9 @@ def attach_noise_sweep(result: CrossvalResult, dataset, etas, seed: int
     eta = 0.10 when both levels are present.
     """
     etas = [float(e) for e in etas]
-    per_fold = []
-    for fold, model in enumerate(result.models):
-        test_set = fold_test_split(dataset, result.split, fold)
-        per_fold.append(noise_sweep(model, test_set, etas, seed))
+    per_fold = _sweep(result.models,
+                      [fold_test_split(dataset, result.split, fold)
+                       for fold in range(len(result.models))], etas, seed)
     mean_accs = [float(np.mean([fa[k] for fa in per_fold]))
                  for k in range(len(etas))]
     report = result.report

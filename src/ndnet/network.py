@@ -32,11 +32,11 @@ Each formula lives in one private core that checks nothing
 ``_dense_backward`` here, ``_forward``/``_backward`` and ``_gate``/
 ``_gate_backward`` in ndlayer). A ``Model`` checks its layout and vector
 when it is built, and ``_check_input`` decides which bands it accepts, for
-``model_forward`` and ``train`` alike. ``train()`` validates its sets once
-and then runs the cores directly: per step it transforms the adjacent
-alpha|beta block once with softplus and once with sigmoid, writes every
-gradient into one preallocated vector and skips the input gradient nobody
-reads.
+``model_forward`` and ``train`` alike. The model cores apply softplus
+(forward) and sigmoid (backward) to the adjacent alpha|beta block of the
+vector, once per call. ``train()`` validates its sets once and then runs
+the cores directly: per step it writes every gradient into one
+preallocated vector and skips the input gradient nobody reads.
 
 Scoring keeps no per-pair array: ``model_forward`` and ``train()``'s
 validation pass run ``_model_forward`` over fixed row blocks
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import _is_int
+from .data import _check_seed, _is_int
 from .ndlayer import (
     DEFAULT_EPS,
     NdParams,
@@ -200,6 +200,7 @@ class TrainConfig:
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"TrainConfig {name} must be an integer, "
                                  f"got {getattr(self, name)!r}")
+        _check_seed(self.seed)
         positive = (self.learning_rate, self.batch_size, self.max_epochs,
                     self.patience, self.eps)
         if not (np.isfinite(positive).all() and min(positive) > 0):
@@ -427,27 +428,18 @@ class ReplayCache:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _coefficients(model: Model, fn):
-    """``fn`` of the adjacent alpha|beta block of ``model.vector``.
-
-    One call covers both coefficient arrays; the first half of the result
-    belongs to alpha, the second to beta. None for mlp.
-    """
-    if model.nd_params is None:
-        return None
-    return fn(model.vector[:2 * model.nd_params.n_pairs])
-
-
-def _model_forward(model: Model, batch, coeffs, signed: bool = False):
+def _model_forward(model: Model, batch, signed: bool = False):
     """Logits of a 2-d batch and the cache for ``_model_backward``.
 
-    ``coeffs`` is ``_coefficients(model, softplus)``. Nothing is checked:
-    ``model_forward`` and ``train`` validate the inputs first.
+    The adjacent alpha|beta block of ``model.vector`` goes through one
+    ``softplus`` call; the first half is alpha's, the second beta's. Nothing
+    is checked: ``model_forward`` and ``train`` validate the inputs first.
     """
     first = gate = None
     x = batch
     if model.nd_params is not None:
         n = model.nd_params.n_pairs
+        coeffs = softplus(model.vector[:2 * n])
         x, first = _forward(batch, coeffs[:n], coeffs[n:], model.eps,
                             model.indexer, signed)
         if model.attn_weights is not None:
@@ -459,7 +451,7 @@ def _model_forward(model: Model, batch, coeffs, signed: bool = False):
     return x[:, 0], ModelCache(first, gate, dense, signed)
 
 
-def _model_logits(model: Model, batch, coeffs, signed: bool = False):
+def _model_logits(model: Model, batch, signed: bool = False):
     """Logits of a 2-d batch, scored by ``_model_forward`` in consecutive
     blocks of at most ``_BLOCK_ELEMENTS // width`` rows; no cache is kept.
 
@@ -473,17 +465,17 @@ def _model_logits(model: Model, batch, coeffs, signed: bool = False):
     logits = np.empty(len(batch))
     for start in range(0, len(batch), rows):
         logits[start:start + rows] = _model_forward(
-            model, batch[start:start + rows], coeffs, signed)[0]
+            model, batch[start:start + rows], signed)[0]
     return logits
 
 
-def _model_backward(model: Model, cache: ModelCache, d_logit, sigmas, grads,
+def _model_backward(model: Model, cache: ModelCache, d_logit, grads,
                     need_input: bool = True):
     """Write every parameter gradient into ``grads``; return d_bands.
 
-    ``d_logit`` is 1-d with one entry per cached row, ``sigmas`` is
-    ``_coefficients(model, sigmoid)`` and ``grads`` holds views shaped like
-    ``model.parameters()``, in that order. With ``need_input`` false the
+    ``d_logit`` is 1-d with one entry per cached row and ``grads`` holds
+    views shaped like ``model.parameters()``, in that order. The alpha|beta
+    block goes through one ``sigmoid`` call. With ``need_input`` false the
     first layer's input gradient is skipped and None is returned. Nothing
     is checked.
     """
@@ -500,6 +492,7 @@ def _model_backward(model: Model, cache: ModelCache, d_logit, sigmas, grads,
         delta, gate_bands = _gate_backward(cache.gate, delta, grads[2],
                                            grads[3], need_input)
     n = model.nd_params.n_pairs
+    sigmas = sigmoid(model.vector[:2 * n])
     d_bands = _backward(cache.first, delta, sigmas[:n], sigmas[n:], model.eps,
                         cache.signed, grads[0], grads[1], need_input)
     if gate_bands is not None:
@@ -527,7 +520,7 @@ def model_forward(model: Model, bands, signed: bool = False):
     """
     batch, single = _as_batch(bands, "bands")
     _check_input(model, batch, signed, "input")
-    logit = _model_logits(model, batch, _coefficients(model, softplus), signed)
+    logit = _model_logits(model, batch, signed)
     return (float(logit[0]) if single else logit), ReplayCache(batch, signed,
                                                                single)
 
@@ -549,11 +542,9 @@ def model_backward(model: Model, cache: ReplayCache, d_logit):
         raise ValueError(
             f"d_logit shape {delta.shape} does not match the {rows} cached rows"
         )
-    _, forward = _model_forward(model, cache.batch,
-                                _coefficients(model, softplus), cache.signed)
+    _, forward = _model_forward(model, cache.batch, cache.signed)
     grads = model.views(np.empty_like(model.vector))
-    d_bands = _model_backward(model, forward, delta,
-                              _coefficients(model, sigmoid), grads)
+    d_bands = _model_backward(model, forward, delta, grads)
     return grads, (d_bands[0] if cache.single else d_bands)
 
 
@@ -624,8 +615,8 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
 
     Both sets are validated once, on entry (finite, the model's band
     count, nonnegative for nd/attnd); the steps then run the unchecked
-    cores. Each step transforms the coefficients once, writes the
-    gradients into one preallocated vector and makes one Adam update.
+    cores. Each step writes the gradients into one preallocated vector
+    and makes one Adam update.
     Raises ``TrainingDiverged`` after an epoch whose parameters or loss
     are not finite or whose mean train loss exceeds ``DIVERGENCE_LOSS``.
     """
@@ -653,12 +644,10 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
             xb, yb = X_train[chunk], y_train[chunk]
-            logits, cache = _model_forward(model, xb,
-                                           _coefficients(model, softplus))
+            logits, cache = _model_forward(model, xb)
             losses, d_logits = bce_with_logits(logits, yb)
             loss_sum += float(losses.sum())
-            _model_backward(model, cache, d_logits / len(chunk),
-                            _coefficients(model, sigmoid), grads,
+            _model_backward(model, cache, d_logits / len(chunk), grads,
                             need_input=False)
             adam_step(vector, grad, state, config)
 
@@ -668,7 +657,7 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
             raise TrainingDiverged(
                 f"training diverged at epoch {epoch}: {problem}", epoch)
 
-        val_logits = _model_logits(model, X_val, _coefficients(model, softplus))
+        val_logits = _model_logits(model, X_val)
         val_losses, _ = bce_with_logits(val_logits, y_val)
         val_acc = accuracy_from_logits(val_logits, y_val)
 

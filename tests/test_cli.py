@@ -346,6 +346,21 @@ class TestNoiseCommand:
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: JSONDecodeError: "), err
 
+    @pytest.mark.parametrize("checkpoint, flags", [
+        ("missing.json", []),  # fails while loading the checkpoints
+        ("ckpt.json", ["--etas", "0.6"])])  # fails in the sweep
+    def test_failed_run_leaves_no_run_directory(self, checkpoint, flags,
+                                                tmp_path, capsys):
+        save_checkpoint(build_model("nd", 2, 10, seed=0,
+                                    band_names=[f"b{k}" for k in range(10)]),
+                        tmp_path / "ckpt.json")
+        out = tmp_path / "o"
+        rc = main(["noise", str(tmp_path / checkpoint), "--synth",
+                   str(spec_file(tmp_path)), *flags, "--out", str(out)])
+        assert rc == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_checkpoint_errors(self, tmp_path, capsys):
         rc = main(["noise", str(tmp_path / "missing.json"), "--synth",
                    str(spec_file(tmp_path)), "--out", str(tmp_path / "o")])
@@ -358,6 +373,32 @@ class TestNoiseCommand:
         rc = main(["noise", ckpt, "--synth", str(spec), "--etas", "0,zebra",
                    "--out", str(tmp_path / "o")])
         assert rc == 1
+
+
+class TestSeedRule:
+    """A negative seed is one error line naming the seed, for every command
+    that takes one, and no run directory is made."""
+
+    @pytest.mark.parametrize("command", ["gradcheck", "synth", "crossval",
+                                         "noise"])
+    def test_negative_seed_is_one_error_line(self, command, tmp_path, capsys):
+        spec = str(spec_file(tmp_path))
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(build_model("nd", 2, 10, seed=0,
+                                    band_names=[f"b{k}" for k in range(10)]),
+                        ckpt)
+        flags = {"gradcheck": ["--trials", "1"],
+                 "synth": ["--synth", spec],
+                 "crossval": ["--synth", spec, "--epochs", "1", "--patience",
+                              "1", "--folds", "2"],
+                 "noise": [str(ckpt), "--synth", spec, "--etas", "0"]}[command]
+        out = tmp_path / "o"
+        rc = main([command, *flags, "--seed", "-1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: ValueError: seed must be a nonnegative integer, got -1"]
+        assert not out.exists()
 
 
 class TestCoeffsCommand:

@@ -221,6 +221,30 @@ class TestDatasetContainer:
         sub.X[0, 0] = 99.0
         assert ds.X[2, 0] == 3.0
 
+    SIX_ROWS = Dataset(["a", "b"], np.arange(12.0).reshape(6, 2),
+                       np.array([0, 1, 0, 1, 1, 0]))
+
+    @pytest.mark.parametrize("indices", [
+        SIX_ROWS.y == 1, [True, False, True, False, False, False],
+        np.array([1.0, 3.0]), [0.5], ["1"]])
+    def test_subset_rejects_masks_and_non_integer_indices(self, indices):
+        with pytest.raises(ValueError, match="^subset takes integer row "
+                                             "indices"):
+            self.SIX_ROWS.subset(indices)
+
+    @pytest.mark.parametrize("indices", [
+        [1, 3, 4], np.array([1, 3, 4]), np.array([1, 3, 4], dtype=np.uint8),
+        np.flatnonzero(SIX_ROWS.y == 1)])
+    def test_subset_takes_integer_indices(self, indices):
+        sub = self.SIX_ROWS.subset(indices)
+        assert sub.X.tolist() == [[2.0, 3.0], [6.0, 7.0], [8.0, 9.0]]
+        assert sub.y.tolist() == [1, 1, 1]
+
+    def test_subset_of_no_rows(self):
+        for indices in ([], np.array([], dtype=np.intp)):
+            sub = self.SIX_ROWS.subset(indices)
+            assert sub.X.shape == (0, 2) and sub.y.shape == (0,)
+
 
 def balanced_dataset(n0, n1, n_bands=3, seed=0):
     rng = np.random.default_rng(seed)
@@ -296,6 +320,12 @@ class TestStratifiedSplit:
         with pytest.raises(ValueError) as got:
             stratified_split(ds, spec, fold)
         assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", True, None])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError) as info:
+            SplitSpec(n_folds=2, seed=seed)
+        assert str(info.value) == f"seed must be a nonnegative integer, got {seed!r}"
 
     def test_exact_divisibility_fold_zero(self):
         ds = balanced_dataset(50, 50)

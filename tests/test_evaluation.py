@@ -213,8 +213,31 @@ class TestNoiseSweep:
         etas = [0.0, 0.1, 0.3, 0.5]  # 0.3 and 0.5 give negative rows
         alone = [noise_sweep(model, ds, etas, seed=11) for model in models]
         del noise_draws[:]
-        assert evaluation._sweep(models, ds, etas, seed=11) == alone
+        assert evaluation._sweep(models, [ds] * len(models), etas,
+                                 seed=11) == alone
         assert [eta for _, eta in noise_draws] == etas
+
+    def test_each_test_set_swept_once_in_order_of_first_use(self, rng,
+                                                             noise_draws):
+        models = [build_model(arch, 3, 4, seed=k)
+                  for k, arch in enumerate(("nd", "attnd", "mlp"))]
+        for model in models:
+            model.vector += rng.uniform(-0.5, 0.5, model.vector.size)
+        a, b = (Dataset(models[0].band_names, rng.uniform(0.01, 1, (50, 4)),
+                        rng.integers(0, 2, 50)) for _ in range(2))
+        etas = [0.0, 0.1, 0.3]
+        swept = evaluation._sweep(models, [a, b, a], etas, seed=5)
+        assert [(ds, eta) for ds, eta in noise_draws] == (
+            [(a, eta) for eta in etas] + [(b, eta) for eta in etas])
+        assert swept == [noise_sweep(model, ds, etas, seed=5)
+                         for model, ds in zip(models, [a, b, a])]
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", True, None])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        model = constant_logit_model(1.0)
+        with pytest.raises(ValueError) as info:
+            noise_sweep(model, uniform_dataset(10, 3, label=1), [0.0], seed)
+        assert str(info.value) == f"seed must be a nonnegative integer, got {seed!r}"
 
     def test_unsorted_etas_rejected(self):
         model = constant_logit_model(1.0)
@@ -337,6 +360,13 @@ class TestGradcheck:
     def test_max_coords_must_be_an_int_of_at_least_one(self, max_coords):
         with pytest.raises(ValueError, match="max_coords"):
             gradcheck("nd", depth=2, trials=1, max_coords=max_coords)
+
+    @pytest.mark.parametrize("target", ["nd", "ndlayer"])
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
+    def test_seed_must_be_a_nonnegative_int(self, target, seed):
+        with pytest.raises(ValueError) as info:
+            gradcheck(target, depth=2, trials=1, seed=seed)
+        assert str(info.value) == f"seed must be a nonnegative integer, got {seed!r}"
 
     @pytest.mark.parametrize("max_coords", [1, np.int64(3)])
     def test_smallest_max_coords_checks_every_family(self, max_coords):
@@ -461,6 +491,20 @@ class TestRunCrossval:
         assert clean == pytest.approx(report.mean_accuracy)
         assert report.degradation == pytest.approx(
             clean - report.noise_mean_accuracies[2])
+
+    def test_attach_noise_sweep_makes_one_sweep_call(self, monkeypatch):
+        ds = small_synth()
+        result = run_crossval("nd", 2, ds, QUICK, n_folds=10)
+        calls = []
+        real = evaluation._sweep
+
+        def counting(models, test_sets, etas, seed):
+            calls.append(len(models))
+            return real(models, test_sets, etas, seed)
+
+        monkeypatch.setattr(evaluation, "_sweep", counting)
+        attach_noise_sweep(result, ds, [0.0, 0.10], seed=3)
+        assert calls == [10]
 
     def test_eta_zero_column_matches_fold_accuracies_bitwise(self):
         ds = small_synth()

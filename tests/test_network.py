@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from ndnet import network as net
 from ndnet.data import Dataset
 from ndnet.ndlayer import NdParams, nd_forward, pair_count
-from ndnet.ndmath import sigmoid, softplus
 from ndnet.network import (
     DIVERGENCE_LOSS,
     DenseLayer,
@@ -558,6 +557,36 @@ class TestTraining:
                                              "integer"):
             TrainConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(seed=-1)
+        assert str(info.value) == "seed must be a nonnegative integer, got -1"
+
+    @pytest.mark.parametrize("arch", net.ARCHITECTURES)
+    def test_one_epoch_transforms_once_per_step_and_block(self, arch,
+                                                          monkeypatch):
+        # the cores apply softplus (forward) and sigmoid (backward) to the
+        # alpha|beta block of the vector once per call: 3 steps of 32, 32
+        # and 6 rows and a validation pass of two scoring blocks
+        rng = np.random.default_rng(3)
+        X = rng.uniform(0.01, 1.0, size=(70 + block_rows(10) + 10, 10))
+        y = rng.integers(0, 2, size=len(X))
+        model = build_model(arch, 2, 10, seed=0)
+        calls = {"softplus": 0, "sigmoid": 0}
+
+        def counting(name, real):
+            def transform(x):
+                calls[name] += np.shares_memory(x, model.vector)
+                return real(x)
+            return transform
+
+        for name in calls:
+            monkeypatch.setattr(net, name, counting(name, getattr(net, name)))
+        train(model, make_dataset(X[:70], y[:70]), make_dataset(X[70:], y[70:]),
+              TrainConfig(max_epochs=1, patience=1))
+        nd = arch != "mlp"
+        assert calls == {"softplus": (3 + 2) * nd, "sigmoid": 3 * nd}
+
 
 def per_array_reference_train(model, train_set, val_set, config):
     """The training loop with one pair of Adam moments per parameter array."""
@@ -717,13 +746,11 @@ class TestTrainingCore:
         # batch 1, a full batch of 32 and the last partial batch of 77 rows
         for rows in (slice(0, 1), slice(0, 32), slice(64, 77)):
             xb, yb = X[rows], y[rows]
-            logits, cache = net._model_forward(
-                model, xb, net._coefficients(model, softplus))
+            logits, cache = net._model_forward(model, xb)
             _, d_logits = bce_with_logits(logits, yb)
             d_logits = d_logits / len(yb)
             assert net._model_backward(
-                model, cache, d_logits, net._coefficients(model, sigmoid),
-                views, need_input=False) is None
+                model, cache, d_logits, views, need_input=False) is None
 
             public_logits, public_cache = model_forward(model, xb)
             grads, d_bands = model_backward(model, public_cache, d_logits)
@@ -737,11 +764,9 @@ class TestTrainingCore:
         bands = rng.uniform(0.01, 1.0, 6)
         logit, cache = model_forward(model, bands)
         grads, d_bands = model_backward(model, cache, 0.25)
-        core_logit, core_cache = net._model_forward(
-            model, bands[None, :], net._coefficients(model, softplus))
+        core_logit, core_cache = net._model_forward(model, bands[None, :])
         grad = np.empty_like(model.vector)
         net._model_backward(model, core_cache, np.array([0.25]),
-                            net._coefficients(model, sigmoid),
                             model.views(grad))
         assert logit == core_logit[0]
         assert np.array_equal(grad, np.concatenate([g.ravel() for g in grads]))
@@ -777,12 +802,10 @@ class TestBlockedScoring:
         rows = max(1, round(blocks * block))
         X = rng.uniform(-0.5 if signed else 0.01, 1.0, size=(rows, n_bands))
         logits, _ = model_forward(model, X, signed=signed)
-        coeffs = net._coefficients(model, softplus)
-        pieces = [net._model_forward(model, X[start:start + block], coeffs,
-                                     signed)[0]
+        pieces = [net._model_forward(model, X[start:start + block], signed)[0]
                   for start in range(0, rows, block)]
         assert np.array_equal(logits, np.concatenate(pieces))
-        whole, _ = net._model_forward(model, X, coeffs, signed)
+        whole, _ = net._model_forward(model, X, signed)
         if rows <= block:
             assert np.array_equal(logits, whole)
         else:
@@ -798,12 +821,9 @@ class TestBlockedScoring:
         assert cache.batch is X  # the cache references the batch, no copy
         grads, d_bands = model_backward(model, cache, d_logit)
 
-        _, core = net._model_forward(model, X, net._coefficients(model, softplus),
-                                     True)
+        _, core = net._model_forward(model, X, True)
         grad = np.empty_like(model.vector)
-        core_bands = net._model_backward(model, core, d_logit,
-                                         net._coefficients(model, sigmoid),
-                                         model.views(grad))
+        core_bands = net._model_backward(model, core, d_logit, model.views(grad))
         assert np.array_equal(grad, np.concatenate([g.ravel() for g in grads]))
         assert np.array_equal(d_bands, core_bands)
 
@@ -826,7 +846,7 @@ class TestBlockedScoring:
             model_forward(model, X, signed=True)
             _, blocked_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            net._model_forward(model, X, net._coefficients(model, softplus), True)
+            net._model_forward(model, X, True)
             _, whole_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
