@@ -400,8 +400,10 @@ def inject_noise(dataset: Dataset, eta: float, seed: int) -> Dataset:
     in [0, 0.5]. Labels are untouched and values are NOT clamped: rare
     small negatives are legitimate outputs and evaluation handles them
     through the signed-tolerant forward. eta = 0 returns the dataset
-    unchanged bit-for-bit.
+    unchanged bit-for-bit. ``seed`` must be an int of at least 0; it is
+    checked first, at eta = 0 too.
     """
+    _check_seed(seed)
     if not (0 <= eta <= 0.5):
         raise ValueError(f"eta must lie in [0, 0.5], got {eta}")
     if eta == 0:

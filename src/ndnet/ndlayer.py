@@ -217,9 +217,20 @@ def _forward(batch, sa, sb, eps, idx: PairIndexer, signed: bool):
     identity the denominator reuses the numerator's two products. The
     sums and the quotient update their first operand in place, which
     keeps the peak memory of a large batch down and gives the same values.
+
+    Gradient checks pass an (S, 1, n) stack of one-row batches, or ``sa``
+    and ``sb`` as (S, 1, n_pairs) stacks. A stacked batch is gathered in C
+    order (``np.take``): the fancy-index gather of a 3-d array comes out
+    strided, and the one-row products downstream then round differently.
+    The 2-d gather stays as it is, Fortran-ordered, so training keeps its
+    bits.
     """
-    b_i = batch[:, idx.i_idx]
-    b_j = batch[:, idx.j_idx]
+    if batch.ndim == 2:
+        b_i = batch[:, idx.i_idx]
+        b_j = batch[:, idx.j_idx]
+    else:
+        b_i = np.take(batch, idx.i_idx, axis=-1)
+        b_j = np.take(batch, idx.j_idx, axis=-1)
     sa_bi = sa * b_i
     sb_bj = sb * b_j
     if signed:
@@ -389,9 +400,11 @@ def _gate(batch, W, c, outputs):
     """Pair outputs scaled by gates sigmoid(W @ b + c); nothing is checked.
 
     ``W`` is (n_pairs, n_bands) and ``c`` (n_pairs,). Gates lie in (0, 1),
-    so gated outputs keep the [-1, 1] bound of their inputs.
+    so gated outputs keep the [-1, 1] bound of their inputs. Gradient
+    checks pass (S, ...) stacks, as for ``_forward``, with a stacked ``W``
+    or ``c``.
     """
-    gate = sigmoid(batch @ W.T + c)
+    gate = sigmoid(batch @ W.swapaxes(-1, -2) + c)
     return gate * outputs, AttentionCache(batch, W, gate, outputs)
 
 

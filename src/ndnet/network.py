@@ -129,8 +129,13 @@ class DenseCache:
 
 
 def _dense_forward(layer: DenseLayer, x):
-    """Affine map plus activation of a 2-d batch; nothing is checked."""
-    pre = x @ layer.weights.T
+    """Affine map plus activation of a 2-d batch; nothing is checked.
+
+    Gradient checks pass (S, 1, n_in) stacks of one-row batches, with a
+    (S, n_out, n_in) stack of weights or a (S, 1, n_out) stack of biases;
+    the product is then one per-item one-row product, as for one row.
+    """
+    pre = x @ layer.weights.swapaxes(-1, -2)
     pre += layer.bias
     out = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
     return out, DenseCache(x, pre)
@@ -376,8 +381,10 @@ def build_model(arch: str, depth: int, n_bands: int, seed: int = 0,
     order; biases start at zero. Coupling coefficients start at zero
     (the classical symmetric index); attention gates start near the
     uniform 0.5 gate (weights uniform in [-0.1, 0.1], bias zero). The
-    attention weights are drawn before the dense weights.
+    attention weights are drawn before the dense weights. ``seed`` must be
+    an int of at least 0 (``data._check_seed``), checked first.
     """
+    _check_seed(seed)
     shapes, _ = _layout(arch, depth, n_bands)
     if band_names is None:
         band_names = default_band_names(n_bands)
@@ -424,23 +431,35 @@ class ReplayCache:
 
 
 # Float64 elements per scoring block array (512 KB); ``_model_logits``
-# sizes its row blocks by it.
+# sizes its row blocks by it, and gradient checks their stacks.
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _model_forward(model: Model, batch, signed: bool = False):
+def _block_rows(model: Model, width: int = 0) -> int:
+    """Rows per block, at least 1, so that no block array exceeds
+    ``_BLOCK_ELEMENTS`` floats when a row holds ``width`` floats or the
+    widest per-row activation: the pair count (the mlp hidden width too)
+    or the band count."""
+    return max(1, _BLOCK_ELEMENTS // max(pair_count(model.n_bands),
+                                         model.n_bands, width))
+
+
+def _model_forward(model: Model, batch, signed: bool = False, nd_block=None):
     """Logits of a 2-d batch and the cache for ``_model_backward``.
 
     The adjacent alpha|beta block of ``model.vector`` goes through one
-    ``softplus`` call; the first half is alpha's, the second beta's. Nothing
+    ``softplus`` call; the first half is alpha's, the second beta's.
+    ``nd_block`` stands in for that block: gradient checks pass a
+    (S, 1, 2 * n_pairs) stack of perturbed blocks, or an (S, 1, n_bands)
+    stack of one-row batches as ``batch``, and get (S, 1) logits. Nothing
     is checked: ``model_forward`` and ``train`` validate the inputs first.
     """
     first = gate = None
     x = batch
     if model.nd_params is not None:
         n = model.nd_params.n_pairs
-        coeffs = softplus(model.vector[:2 * n])
-        x, first = _forward(batch, coeffs[:n], coeffs[n:], model.eps,
+        coeffs = softplus(model.vector[:2 * n] if nd_block is None else nd_block)
+        x, first = _forward(batch, coeffs[..., :n], coeffs[..., n:], model.eps,
                             model.indexer, signed)
         if model.attn_weights is not None:
             x, gate = _gate(batch, model.attn_weights, model.attn_bias, x)
@@ -453,15 +472,12 @@ def _model_forward(model: Model, batch, signed: bool = False):
 
 def _model_logits(model: Model, batch, signed: bool = False):
     """Logits of a 2-d batch, scored by ``_model_forward`` in consecutive
-    blocks of at most ``_BLOCK_ELEMENTS // width`` rows; no cache is kept.
+    blocks of ``_block_rows(model)`` rows; no cache is kept.
 
-    ``width`` is the widest per-row activation, the pair count (the mlp
-    hidden width too) or the band count. Rows are scored independently;
-    only the matrix products may round differently for another row count.
-    Nothing is checked.
+    Rows are scored independently; only the matrix products may round
+    differently for another row count. Nothing is checked.
     """
-    rows = max(1, _BLOCK_ELEMENTS // max(pair_count(model.n_bands),
-                                         model.n_bands))
+    rows = _block_rows(model)
     logits = np.empty(len(batch))
     for start in range(0, len(batch), rows):
         logits[start:start + rows] = _model_forward(

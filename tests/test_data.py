@@ -559,3 +559,12 @@ class TestInjectNoise:
         ds = balanced_dataset(5, 5)
         with pytest.raises(ValueError, match="eta"):
             inject_noise(ds, eta, seed=0)
+
+    # the seed is checked before the eta = 0 early return
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
+    def test_seed_must_be_a_nonnegative_int(self, seed, eta):
+        ds = balanced_dataset(5, 5)
+        with pytest.raises(ValueError) as info:
+            inject_noise(ds, eta, seed)
+        assert str(info.value) == f"seed must be a nonnegative integer, got {seed!r}"

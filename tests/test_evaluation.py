@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 
 import numpy as np
 import pytest
@@ -426,6 +426,90 @@ class TestGradcheckReplay:
                                                max_coords, 1e-5)
         assert report.max_errors == worst
         assert report.passed == passed
+
+
+def _array_sizes(values):
+    """Sizes of the arrays in ``values``, in tuples and dataclasses too."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            yield value.size
+        elif isinstance(value, tuple):
+            yield from _array_sizes(value)
+        elif is_dataclass(value):
+            yield from _array_sizes(vars(value).values())
+
+
+MODEL_TARGETS = [(arch, depth) for arch in ("nd", "mlp", "attnd")
+                 for depth in (2, 3, 4)]
+
+
+class TestStackedGradcheck:
+    """The whole-model checks score the perturbed copies of an array in
+    stacked blocks; a wrong gradient still fails, and the block size moves
+    no bit of a report."""
+
+    @pytest.mark.parametrize("family", ["alpha", "beta", "attention", "dense",
+                                        "input"])
+    def test_scaled_gradient_of_one_family_fails(self, family, monkeypatch):
+        real = network.model_backward
+
+        def scaled(model, cache, d_logit):
+            grads, d_bands = real(model, cache, d_logit)
+            if family == "input":
+                return grads, d_bands * (1 + 1e-3)
+            for name, grad in zip(model.parameter_names(), grads):
+                if evaluation._FAMILIES.get(name, "dense") == family:
+                    grad *= 1 + 1e-3
+            return grads, d_bands
+
+        monkeypatch.setattr(network, "model_backward", scaled)
+        report = gradcheck("attnd", depth=3, trials=2, tolerance=1e-5, seed=0)
+        assert not report.passed
+        assert report.max_errors[family] >= 5e-4
+        others = {k: v for k, v in report.max_errors.items() if k != family}
+        assert len(others) == 4
+        assert max(others.values()) < 1e-5
+
+    def test_blocks_of_one_pair_give_the_same_reports(self, monkeypatch):
+        def reports():
+            return [gradcheck(arch, depth=depth, trials=1, seed=3,
+                              max_coords=None) for arch, depth in MODEL_TARGETS]
+
+        default = reports()
+        stack_lengths = set()
+        real = evaluation._stacked_logits
+
+        def spy(model, row, probe, name, stack):
+            stack_lengths.add(len(stack))
+            return real(model, row, probe, name, stack)
+
+        monkeypatch.setattr(evaluation, "_stacked_logits", spy)
+        monkeypatch.setattr(network, "_BLOCK_ELEMENTS", 1)
+        for got, want in zip(reports(), default, strict=True):
+            assert got.max_errors == want.max_errors
+            assert got.passed == want.passed
+        assert stack_lengths == {2}
+
+    def test_no_stacked_array_exceeds_the_block(self, monkeypatch):
+        sizes = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                result = real(*args, **kwargs)
+                sizes.extend(_array_sizes((args, tuple(kwargs.values()), result)))
+                return result
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((evaluation, "_stacked_logits"), (evaluation, "_gate"),
+                             (network, "_gate"), (network, "_forward"),
+                             (network, "_dense_forward"), (network, "softplus")):
+            spy(module, name)
+        for arch, depth in MODEL_TARGETS:
+            gradcheck(arch, depth=depth, trials=1, seed=3, max_coords=None)
+        assert max(sizes) <= network._BLOCK_ELEMENTS
+        assert max(sizes) > network._BLOCK_ELEMENTS // 2  # blocks fill up
 
 
 def small_synth(seed=0, n=240):

@@ -271,6 +271,14 @@ class TestBuildModel:
         assert not model.nd_params.alpha.any()
         assert not model.nd_params.beta.any()
 
+    # -1 once ended in numpy's "expected non-negative integer", 2.5 and "3"
+    # in SeedSequence TypeErrors, and True built as seed 1
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError) as info:
+            build_model("nd", 2, 4, seed=seed)
+        assert str(info.value) == f"seed must be a nonnegative integer, got {seed!r}"
+
 
 class TestModelForwardBackward:
     def test_mlp_zero_weights_gives_log_two_loss(self, rng):
