@@ -192,8 +192,9 @@ def cmd_gradcheck(args) -> int:
         print(f"  {family:10s} {err:.3e}")
     print(f"report: {out_path}")
     if not report.passed:
-        print("error: tolerance: gradient check exceeded tolerance",
-              file=sys.stderr)
+        what = ("gave a non-finite gradient" if np.isnan(report.worst())
+                else "exceeded tolerance")
+        print(f"error: tolerance: gradient check {what}", file=sys.stderr)
         return 1
     return 0
 

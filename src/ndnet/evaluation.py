@@ -24,14 +24,15 @@ the bits that one unperturbed ``_model_forward`` on the row kept, and a
 one-row ``model_forward`` is one ``_model_forward`` call on that row.
 Every stack item is scored by the elementwise ops and the per-item
 one-row matrix product (``x[:, None, :] @ W.T``, one gemv per item) that
-one row gets; a multi-row product would round differently. A stacked
-input is gathered in C order, since a strided pair gather makes the
-one-row products downstream round differently too. So every logit,
-central difference and ``GradcheckReport`` is the one that a full
-``model_forward`` per evaluation gives, bit for bit, whatever the block
-size. The bare-layer targets keep one evaluation per coordinate and
-sign. On the benchmark's ``gradcheck`` round (2 vCPUs, one BLAS thread,
-medians of 10 runs) the stacks took the wall time from 1.05 s to 0.27 s.
+one row gets; a multi-row product would round differently. The pair
+gather of ``ndlayer._forward`` is C-ordered for a stack too, since a
+strided gather makes the one-row products downstream round differently.
+So every logit, central difference and ``GradcheckReport`` is the one
+that a full ``model_forward`` per evaluation gives, bit for bit, whatever
+the block size. The bare-layer targets keep one evaluation per coordinate
+and sign. On the benchmark's ``gradcheck`` round (2 vCPUs, one BLAS
+thread, medians of 10 runs) the stacks took the wall time from 1.05 s to
+0.27 s.
 """
 
 from __future__ import annotations
@@ -265,25 +266,30 @@ class GradcheckReport:
     trials: int
     tolerance: float
     eps: float
-    max_errors: dict  # family -> worst relative error observed
-    passed: bool
+    max_errors: dict  # family -> worst relative error observed, NaN if any
+    passed: bool  # every family's worst error is below tolerance, none NaN
 
     def worst(self) -> float:
-        return max(self.max_errors.values()) if self.max_errors else 0.0
+        """The largest family error, NaN when any family's error is NaN."""
+        return float(np.max(list(self.max_errors.values()), initial=0.0))
 
 
 def _rel_err(analytic, numeric):
-    """Elementwise relative error, against GRAD_ABS_FLOOR for tiny gradients."""
+    """Elementwise relative error, against GRAD_ABS_FLOOR for tiny gradients;
+    NaN, without a warning, where either side is not finite."""
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)),
                        GRAD_ABS_FLOOR)
-    return np.abs(analytic - numeric) / scale
+    with np.errstate(invalid="ignore"):
+        return np.abs(analytic - numeric) / scale
 
 
 def _record(worst, family, analytic, numeric):
     """Raise ``worst[family]`` (from 0) to the largest ``_rel_err`` of the
-    paired ``analytic`` and ``numeric`` values; a NaN error is skipped."""
+    paired ``analytic`` and ``numeric`` values. A non-finite gradient on
+    either side gives a NaN error (inf/inf, or a NaN operand), which sticks:
+    the family then fails every tolerance."""
     errors = _rel_err(analytic, numeric)
-    worst[family] = float(np.fmax.reduce(errors, initial=worst.get(family, 0.0)))
+    worst[family] = float(np.max(errors, initial=worst.get(family, 0.0)))
 
 
 def _central_diff(fn, array, flat_index, h=FD_STEP):

@@ -31,6 +31,19 @@ All forwards accept a single channel vector of shape (n,) or a batch of
 shape (batch, n). Parameter gradients are summed over the batch axis;
 input gradients keep the input's shape.
 
+For the identity the coefficient gradients are taken from three batch
+sums. With R = delta/B^2 for the upstream gradient delta,
+
+    S_ij = sum_b R*b_i*b_j    S_i = sum_b R*b_i    S_j = sum_b R*b_j
+    dL/dalpha =  sigmoid(alpha) * (2*sb*S_ij + eps*S_i)
+    dL/dbeta  = -sigmoid(beta)  * (2*sa*S_ij + eps*S_j)
+
+which is the quotient rule above summed over the batch: delta*dN/dsa =
+R*b_i*(2*sb*b_j + eps), and so on. Every per-element term is a product of
+nonnegative factors and R, so nothing cancels, the sums' rounding error
+is bounded by a few ulps of the sum of the terms' magnitudes, and the
+sigmoids multiply the (n_pairs,) sums, not every element.
+
 Each band's input gradient sums the terms of the n-1 pairs that contain
 it. The backward pass gathers them with two matrix products against the
 one-hot incidence matrices of ``PairIndexer`` (pair p has a 1 in column
@@ -40,9 +53,10 @@ the sums are the same up to rounding order (a few ulps).
 The math lives in private cores (``_forward``, ``_backward``) that take
 2-d arrays, precomputed softplus/sigmoid coefficients and output arrays,
 and check nothing; the public functions validate, then call them. The
-forward caches the numerator's products sa*b_i and sb*b_j, which the
-backward reuses. The ``attnd`` model's attention gate has private cores
-only (``_gate``, ``_gate_backward``).
+forward gathers each pair's two bands in C order (``take`` along the
+last axis, whatever the batch rank) and caches three per-pair arrays:
+the gathered b_i and b_j and the denominator B. The ``attnd`` model's
+attention gate has private cores only (``_gate``, ``_gate_backward``).
 """
 
 from __future__ import annotations
@@ -145,14 +159,15 @@ class NdParams:
 
 @dataclass
 class NdCache:
-    """Forward quantities needed by every backward variant."""
+    """Forward quantities needed by every backward variant: the softplus
+    coefficients and three C-ordered (batch, n_pairs) arrays. The signed
+    backward recomputes the numerator sa*b_i - sb*b_j from them; no
+    backward reads the output N."""
 
-    sigma_alpha: np.ndarray  # (n_pairs,)
-    sigma_beta: np.ndarray  # (n_pairs,)
-    b_i: np.ndarray  # (batch, n_pairs)
-    b_j: np.ndarray  # (batch, n_pairs)
-    sa_bi: np.ndarray  # sigma_alpha * b_i, the numerator's first term
-    sb_bj: np.ndarray  # sigma_beta * b_j
+    sigma_alpha: np.ndarray  # (n_pairs,), softplus(alpha)
+    sigma_beta: np.ndarray  # (n_pairs,), softplus(beta)
+    b_i: np.ndarray  # (batch, n_pairs), each pair's first band
+    b_j: np.ndarray  # (batch, n_pairs), each pair's second band
     denom: np.ndarray  # (batch, n_pairs)
     indexer: PairIndexer
     single: bool = False  # True when the public forward saw a 1-d input
@@ -219,29 +234,26 @@ def _forward(batch, sa, sb, eps, idx: PairIndexer, signed: bool):
     keeps the peak memory of a large batch down and gives the same values.
 
     Gradient checks pass an (S, 1, n) stack of one-row batches, or ``sa``
-    and ``sb`` as (S, 1, n_pairs) stacks. A stacked batch is gathered in C
-    order (``np.take``): the fancy-index gather of a 3-d array comes out
-    strided, and the one-row products downstream then round differently.
-    The 2-d gather stays as it is, Fortran-ordered, so training keeps its
-    bits.
+    and ``sb`` as (S, 1, n_pairs) stacks. Every batch is gathered in C
+    order (``take`` along the last axis): a fancy-index gather comes out
+    strided, which slows the elementwise passes that meet C-ordered arrays
+    and makes a stacked one-row product round differently from one row's.
+    The method, not ``np.take``, since the function's dispatch costs a
+    one-row call about as much as the gather.
     """
-    if batch.ndim == 2:
-        b_i = batch[:, idx.i_idx]
-        b_j = batch[:, idx.j_idx]
-    else:
-        b_i = np.take(batch, idx.i_idx, axis=-1)
-        b_j = np.take(batch, idx.j_idx, axis=-1)
-    sa_bi = sa * b_i
+    b_i = batch.take(idx.i_idx, axis=-1)
+    b_j = batch.take(idx.j_idx, axis=-1)
+    out = sa * b_i
     sb_bj = sb * b_j
     if signed:
         denom = sa * _smooth_abs(b_i, eps)
         denom += sb * _smooth_abs(b_j, eps)
     else:
-        denom = sa_bi + sb_bj
+        denom = out + sb_bj
     denom += eps
-    out = sa_bi - sb_bj
+    out -= sb_bj
     out /= denom
-    return out, NdCache(sa, sb, b_i, b_j, sa_bi, sb_bj, denom, idx)
+    return out, NdCache(sa, sb, b_i, b_j, denom, idx)
 
 
 def _backward(cache: NdCache, delta, sig_a, sig_b, eps, signed: bool,
@@ -256,29 +268,46 @@ def _backward(cache: NdCache, delta, sig_a, sig_b, eps, signed: bool,
     sa, sb = cache.sigma_alpha, cache.sigma_beta
     b_i, b_j = cache.b_i, cache.b_j
     B = cache.denom
-    denom_sq = B ** 2
+    idx = cache.indexer
+    if not signed:
+        # The three batch sums of the module docstring, with R = delta/B^2.
+        R = np.square(B)
+        np.divide(delta, R, out=R)
+        s_i = np.einsum("bp,bp->p", R, b_i)
+        s_j = np.einsum("bp,bp->p", R, b_j)
+        t = R * b_i
+        t *= b_j
+        s_ij = np.add.reduce(t, axis=0)
+        np.multiply(sb, s_ij, out=d_alpha)
+        d_alpha *= 2.0
+        d_alpha += eps * s_i
+        d_alpha *= sig_a
+        np.multiply(sa, s_ij, out=d_beta)
+        d_beta *= -2.0
+        d_beta -= eps * s_j
+        d_beta *= sig_b
+        if not need_input:
+            return None
+        # delta*dN/db_i = sa*R*(2*sb*b_j + eps), delta*dN/db_j likewise.
+        w_i = b_j * (2.0 * sb)
+        w_i += eps
+        w_i *= R
+        w_j = b_i * (2.0 * sa)
+        w_j += eps
+        w_j *= R
+        return (w_i * sa) @ idx.inc_i - (w_j * sb) @ idx.inc_j
+
     # w_i = (dN/db_i) / sa and w_j = -(dN/db_j) / sb; u_i = dN/dsa and
     # u_j = -dN/dsb.
-    if signed:
-        A = cache.sa_bi - cache.sb_bj
-        m_i = _smooth_abs(b_i, eps)
-        m_j = _smooth_abs(b_j, eps)
-        w_i = (B - A * b_i / m_i) / denom_sq
-        w_j = (B + A * b_j / m_j) / denom_sq
-        u_i = (b_i * B - A * m_i) / denom_sq
-        u_j = (b_j * B + A * m_j) / denom_sq
-    else:
-        w_i = 2.0 * cache.sb_bj
-        w_i += eps
-        w_i /= denom_sq
-        w_j = 2.0 * cache.sa_bi
-        w_j += eps
-        w_j /= denom_sq
-        u_i = b_i * w_i
-        u_j = b_j * w_j
-
-    # Each product takes the layout of delta, so the batch sums below add
-    # the rows in order whatever the layout of the cached arrays.
+    denom_sq = B ** 2
+    A = sa * b_i
+    A -= sb * b_j
+    m_i = _smooth_abs(b_i, eps)
+    m_j = _smooth_abs(b_j, eps)
+    w_i = (B - A * b_i / m_i) / denom_sq
+    w_j = (B + A * b_j / m_j) / denom_sq
+    u_i = (b_i * B - A * m_i) / denom_sq
+    u_j = (b_j * B + A * m_j) / denom_sq
     t = delta * sig_a
     t *= u_i
     np.add.reduce(t, axis=0, out=d_alpha)
@@ -288,7 +317,6 @@ def _backward(cache: NdCache, delta, sig_a, sig_b, eps, signed: bool,
     np.negative(d_beta, out=d_beta)
     if not need_input:
         return None
-    idx = cache.indexer
     return (delta * sa * w_i) @ idx.inc_i - (delta * sb * w_j) @ idx.inc_j
 
 

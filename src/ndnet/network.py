@@ -32,11 +32,12 @@ Each formula lives in one private core that checks nothing
 ``_dense_backward`` here, ``_forward``/``_backward`` and ``_gate``/
 ``_gate_backward`` in ndlayer). A ``Model`` checks its layout and vector
 when it is built, and ``_check_input`` decides which bands it accepts, for
-``model_forward`` and ``train`` alike. The model cores apply softplus
-(forward) and sigmoid (backward) to the adjacent alpha|beta block of the
-vector, once per call. ``train()`` validates its sets once and then runs
-the cores directly: per step it writes every gradient into one
-preallocated vector and skips the input gradient nobody reads.
+``model_forward`` and ``train`` alike. The forward core applies softplus
+to the adjacent alpha|beta block of the vector, once per call, and caches
+the result; the backward takes sigmoid = 1 - exp(-softplus) from it.
+``train()`` validates its sets once and then runs the cores directly: per
+step it writes every gradient into one preallocated vector and skips the
+input gradient nobody reads.
 
 Scoring keeps no per-pair array: ``model_forward`` and ``train()``'s
 validation pass run ``_model_forward`` over fixed row blocks
@@ -73,7 +74,7 @@ from .ndlayer import (
     _pair_indexer,
     pair_count,
 )
-from .ndmath import sigmoid, softplus
+from .ndmath import softplus
 
 ARCHITECTURES = ("nd", "mlp", "attnd")
 DEPTHS = (2, 3, 4)
@@ -163,14 +164,14 @@ def _dense_backward(layer: DenseLayer, cache: DenseCache, delta, d_weights,
 def bce_with_logits(logit, label):
     """Binary cross-entropy on a raw logit, in the overflow-safe form.
 
-    loss = softplus(logit) - label*logit, dloss/dlogit = sigmoid(logit) - label.
-    Elementwise over arrays; labels are 0/1.
+    loss = softplus(logit) - label*logit, dloss/dlogit = sigmoid(logit) - label,
+    with sigmoid taken from the softplus as -expm1(-softplus(logit)).
+    Elementwise over arrays and scalars; labels are 0/1.
     """
     logit = np.asarray(logit, dtype=np.float64)
     label = np.asarray(label, dtype=np.float64)
-    loss = softplus(logit) - label * logit
-    grad = sigmoid(logit) - label
-    return loss, grad
+    sp = softplus(logit)
+    return sp - label * logit, -(np.expm1(-sp) + label)
 
 
 def predict_labels(logits):
@@ -413,6 +414,7 @@ def count_params(model: Model) -> int:
 class ModelCache:
     """What ``_model_backward`` reads: every intermediate of one forward."""
 
+    coeffs: object  # softplus of the alpha|beta block for nd archs, else None
     first: object  # NdCache for nd archs, else None
     gate: object  # AttentionCache for attnd, else None
     dense: list  # DenseCache per dense layer
@@ -454,7 +456,7 @@ def _model_forward(model: Model, batch, signed: bool = False, nd_block=None):
     stack of one-row batches as ``batch``, and get (S, 1) logits. Nothing
     is checked: ``model_forward`` and ``train`` validate the inputs first.
     """
-    first = gate = None
+    coeffs = first = gate = None
     x = batch
     if model.nd_params is not None:
         n = model.nd_params.n_pairs
@@ -467,7 +469,7 @@ def _model_forward(model: Model, batch, signed: bool = False, nd_block=None):
     for layer in model.layers:
         x, cache = _dense_forward(layer, x)
         dense.append(cache)
-    return x[:, 0], ModelCache(first, gate, dense, signed)
+    return x[:, 0], ModelCache(coeffs, first, gate, dense, signed)
 
 
 def _model_logits(model: Model, batch, signed: bool = False):
@@ -490,8 +492,10 @@ def _model_backward(model: Model, cache: ModelCache, d_logit, grads,
     """Write every parameter gradient into ``grads``; return d_bands.
 
     ``d_logit`` is 1-d with one entry per cached row and ``grads`` holds
-    views shaped like ``model.parameters()``, in that order. The alpha|beta
-    block goes through one ``sigmoid`` call. With ``need_input`` false the
+    views shaped like ``model.parameters()``, in that order. The sigmoids
+    of the alpha|beta block come from the softplus the forward cached, as
+    -expm1(-softplus), which is sigmoid to a few ulps (1 - exp(-log(1 +
+    e^x)) = e^x / (1 + e^x)). With ``need_input`` false the
     first layer's input gradient is skipped and None is returned. Nothing
     is checked.
     """
@@ -508,7 +512,7 @@ def _model_backward(model: Model, cache: ModelCache, d_logit, grads,
         delta, gate_bands = _gate_backward(cache.gate, delta, grads[2],
                                            grads[3], need_input)
     n = model.nd_params.n_pairs
-    sigmas = sigmoid(model.vector[:2 * n])
+    sigmas = -np.expm1(-cache.coeffs)
     d_bands = _backward(cache.first, delta, sigmas[:n], sigmas[n:], model.eps,
                         cache.signed, grads[0], grads[1], need_input)
     if gate_bands is not None:

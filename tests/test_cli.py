@@ -8,6 +8,7 @@ import pytest
 
 from ndnet import cli
 from ndnet import evaluation as ev
+from ndnet import network as net
 from ndnet.cli import main
 from ndnet.data import (SplitSpec, SynthSpec, default_synth_spec, load_csv,
                         load_synth_spec, save_csv, synth_generate)
@@ -127,6 +128,24 @@ class TestGradcheckCommand:
         assert rc == 1
         assert len(err) == 1 and err[0].startswith("error: ValueError: "), err
         assert not out.exists()
+
+    def test_nan_gradient_exits_one_with_one_error_line(self, tmp_path, capsys,
+                                                        monkeypatch):
+        real = net.model_backward
+
+        def broken(model, cache, d_logit):
+            grads, d_bands = real(model, cache, d_logit)
+            grads[0][:] = np.nan  # nd.alpha
+            return grads, d_bands
+
+        monkeypatch.setattr(net, "model_backward", broken)
+        rc = main(["gradcheck", "--arch", "nd", "--depth", "2", "--trials", "1",
+                   "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.splitlines() == [
+            "error: tolerance: gradient check gave a non-finite gradient"]
+        assert "alpha      nan" in captured.out
 
     def test_unknown_arch_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

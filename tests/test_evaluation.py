@@ -405,8 +405,7 @@ def full_forward_gradcheck(arch, depth, trials, seed, max_coords, tolerance,
             for k in coords:
                 numeric = evaluation._central_diff(objective, array, int(k))
                 err = evaluation._rel_err(float(analytic.flat[int(k)]), numeric)
-                if err > worst[family]:
-                    worst[family] = err
+                worst[family] = float(np.maximum(worst[family], err))  # NaN sticks
     return worst, all(err < tolerance for err in worst.values())
 
 
@@ -426,6 +425,47 @@ class TestGradcheckReplay:
                                                max_coords, 1e-5)
         assert report.max_errors == worst
         assert report.passed == passed
+
+
+class TestGradcheckNonFinite:
+    """A NaN or infinite gradient, analytic or numeric, fails its family."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_analytic_gradient_fails(self, bad, monkeypatch):
+        real = network.model_backward
+
+        def broken(model, cache, d_logit):
+            grads, d_bands = real(model, cache, d_logit)
+            grads[model.parameter_names().index("nd.alpha")][3] = bad
+            return grads, d_bands
+
+        monkeypatch.setattr(network, "model_backward", broken)
+        report = gradcheck("nd", depth=2, trials=1, seed=0)
+        assert not report.passed
+        assert math.isnan(report.max_errors["alpha"])
+        assert math.isnan(report.worst())
+        others = {k: v for k, v in report.max_errors.items() if k != "alpha"}
+        assert max(others.values()) < 1e-5
+
+    def test_nan_central_difference_fails(self, monkeypatch):
+        real = evaluation._stacked_logits
+
+        def broken(model, row, probe, name, stack):
+            logits = real(model, row, probe, name, stack)
+            return np.full_like(logits, np.nan) if name == "nd.beta" else logits
+
+        monkeypatch.setattr(evaluation, "_stacked_logits", broken)
+        report = gradcheck("attnd", depth=3, trials=2, seed=0)
+        assert not report.passed
+        assert math.isnan(report.max_errors["beta"])
+        assert math.isnan(report.worst())
+        assert report.max_errors["alpha"] < 1e-5
+
+    def test_worst_reports_nan_wherever_it_sits(self):
+        for errors in ({"a": math.nan, "b": 0.5}, {"a": 0.5, "b": math.nan}):
+            report = evaluation.GradcheckReport("nd", 2, 1, 1e-5, 1e-8, errors,
+                                                False)
+            assert math.isnan(report.worst())
 
 
 def _array_sizes(values):

@@ -295,6 +295,46 @@ class TestNdBackward:
             assert max_rel_err(g.d_beta, d_beta, floor=1e-300) < 1e-14
             assert max_rel_err(g.d_input, d_input, floor=1e-12) < 1e-13
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than float64 here")
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 40),
+           n_bands=st.integers(2, 12), eps=st.sampled_from([1e-12, 1e-8, 1e-3]))
+    def test_coefficient_gradients_within_summation_bound(self, seed, rows,
+                                                          n_bands, eps):
+        # The three batch sums add terms that are all products, so each
+        # coefficient gradient stays within (rows + 16) ulps of the sum of
+        # the magnitudes of its quotient-rule terms: about 12 roundings per
+        # term (B, B^2, the quotient, two products), rows - 1 in the batch
+        # sum and 3 after it. Zero bands and bands of 1e-5 are where a
+        # cancelling form such as 1 - N would lose its relative accuracy.
+        rng = np.random.default_rng(seed)
+        bands = rng.uniform(0.0, 1.0, size=(rows, n_bands))
+        pick = rng.uniform(size=bands.shape)
+        bands[pick < 0.2] = 0.0
+        bands[(pick >= 0.2) & (pick < 0.4)] = 1e-5
+        n_pairs = pair_count(n_bands)
+        params = NdParams(rng.uniform(-4, 4, n_pairs), rng.uniform(-4, 4, n_pairs))
+        _, cache = nd_forward(bands, params, eps)
+        delta = rng.uniform(-1.0, 1.0, size=(rows, n_pairs))
+        g = nd_backward(cache, delta, params, eps)
+
+        def wide(x):
+            return np.asarray(x, dtype=np.longdouble)
+
+        sa, sb = wide(softplus(params.alpha)), wide(softplus(params.beta))
+        idx, eps_w = cache.indexer, wide(eps)
+        b_i, b_j = wide(bands[:, idx.i_idx]), wide(bands[:, idx.j_idx])
+        R = wide(delta) / (sa * b_i + sb * b_j + eps_w) ** 2
+        terms = {
+            "alpha": R * wide(sigmoid(params.alpha)) * b_i * (2 * sb * b_j + eps_w),
+            "beta": -R * wide(sigmoid(params.beta)) * b_j * (2 * sa * b_i + eps_w),
+        }
+        bound = (rows + 16) * np.finfo(float).eps
+        for got, (name, t) in zip((g.d_alpha, g.d_beta), terms.items()):
+            err = np.abs(wide(got) - t.sum(axis=0))
+            assert (err <= bound * np.abs(t).sum(axis=0)).all(), name
+
     def test_gradient_sign_structure(self, rng):
         # positive bands, positive upstream: alpha pushes up, beta down
         for _ in range(50):

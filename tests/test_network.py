@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ndnet import network as net
+from ndnet import ndlayer, ndmath, network as net
 from ndnet.data import Dataset
 from ndnet.ndlayer import NdParams, nd_forward, pair_count
 from ndnet.network import (
@@ -155,6 +155,22 @@ class TestBceWithLogits:
         loss, grad = bce_with_logits(logits, labels)
         assert (loss >= 0).all()
         assert loss.shape == grad.shape == (100,)
+
+    def test_gradient_within_ulps_of_sigmoid(self):
+        # the gradient takes sigmoid from the loss's softplus, as
+        # -expm1(-softplus); it stays within 4 ulps of ndmath.sigmoid, plus
+        # the rounding of the label subtraction, scalars included
+        x = np.concatenate([np.linspace(-40.0, 40.0, 80001),
+                            np.random.default_rng(0).uniform(-40.0, 40.0, 80000)])
+        sig = ndmath.sigmoid(x)
+        for label in (0, 1):
+            _, grad = bce_with_logits(x, np.full_like(x, label))
+            want = sig - label
+            assert (np.abs(grad - want)
+                    <= 4 * np.spacing(sig) + np.spacing(np.abs(want))).all()
+            for k in range(0, len(x), 4001):
+                _, one = bce_with_logits(float(x[k]), label)
+                assert np.ndim(one) == 0 and one == grad[k]
 
 
 class TestAdam:
@@ -573,9 +589,10 @@ class TestTraining:
     @pytest.mark.parametrize("arch", net.ARCHITECTURES)
     def test_one_epoch_transforms_once_per_step_and_block(self, arch,
                                                           monkeypatch):
-        # the cores apply softplus (forward) and sigmoid (backward) to the
-        # alpha|beta block of the vector once per call: 3 steps of 32, 32
-        # and 6 rows and a validation pass of two scoring blocks
+        # the forward core applies softplus to the alpha|beta block of the
+        # vector once per call (3 steps of 32, 32 and 6 rows and a
+        # validation pass of two scoring blocks); the backward takes the
+        # sigmoids from that softplus, so no sigmoid reads the vector
         rng = np.random.default_rng(3)
         X = rng.uniform(0.01, 1.0, size=(70 + block_rows(10) + 10, 10))
         y = rng.integers(0, 2, size=len(X))
@@ -588,12 +605,14 @@ class TestTraining:
                 return real(x)
             return transform
 
-        for name in calls:
-            monkeypatch.setattr(net, name, counting(name, getattr(net, name)))
+        monkeypatch.setattr(net, "softplus", counting("softplus", net.softplus))
+        sigmoid = counting("sigmoid", ndmath.sigmoid)
+        for module in (net, ndlayer, ndmath):
+            monkeypatch.setattr(module, "sigmoid", sigmoid, raising=False)
         train(model, make_dataset(X[:70], y[:70]), make_dataset(X[70:], y[70:]),
               TrainConfig(max_epochs=1, patience=1))
         nd = arch != "mlp"
-        assert calls == {"softplus": (3 + 2) * nd, "sigmoid": 3 * nd}
+        assert calls == {"softplus": (3 + 2) * nd, "sigmoid": 0}
 
 
 def per_array_reference_train(model, train_set, val_set, config):
@@ -780,6 +799,30 @@ class TestTrainingCore:
         assert np.array_equal(grad, np.concatenate([g.ravel() for g in grads]))
         assert d_bands.shape == (6,)
 
+    @pytest.mark.parametrize("arch", ["nd", "attnd"])
+    def test_backward_sigmoids_within_ulps_of_sigmoid(self, arch, rng,
+                                                      monkeypatch):
+        # _model_backward takes sigmoid(alpha|beta) from the forward's cached
+        # softplus as -expm1(-softplus): within 4 ulps of ndmath.sigmoid
+        # over alpha and beta in [-40, 40]
+        model = build_model(arch, 2, 10, seed=1)
+        n = model.nd_params.n_pairs
+        model.vector[:2 * n] = np.linspace(-40.0, 40.0, 2 * n)
+        seen = []
+
+        def spy(cache, delta, sig_a, sig_b, *args, **kwargs):
+            seen.append(np.concatenate([sig_a, sig_b]))
+            return ndlayer._backward(cache, delta, sig_a, sig_b, *args, **kwargs)
+
+        monkeypatch.setattr(net, "_backward", spy)
+        _, cache = net._model_forward(model, rng.uniform(0.01, 1.0, (32, 10)))
+        net._model_backward(model, cache, rng.normal(size=32),
+                            model.views(np.empty_like(model.vector)),
+                            need_input=False)
+        want = ndmath.sigmoid(model.vector[:2 * n])
+        assert len(seen) == 1
+        assert (np.abs(seen[0] - want) <= 4 * np.spacing(want)).all()
+
     def test_public_backward_rejects_wrong_upstream_length(self, rng):
         model = build_model("nd", 2, 4, seed=0)
         _, cache = model_forward(model, rng.uniform(0.1, 1.0, (5, 4)))
@@ -844,10 +887,10 @@ class TestBlockedScoring:
         assert np.shares_memory(cache.batch, bands) and cache.single
 
     def test_scoring_memory_stays_within_blocks(self):
-        # 20,000 rows x 45 pairs: every whole-batch per-pair array is 7.2 MB,
-        # a block array 0.5 MB; the batch itself (1.6 MB) is not traced.
+        # 25,000 rows x 45 pairs: every whole-batch per-pair array is 9 MB,
+        # a block array 0.5 MB; the batch itself (2 MB) is not traced.
         model = build_model("attnd", 4, 10, seed=0)
-        X = np.random.default_rng(0).uniform(-0.2, 1.0, size=(20000, 10))
+        X = np.random.default_rng(0).uniform(-0.2, 1.0, size=(25000, 10))
         bound = 8_000_000
         tracemalloc.start()
         try:
