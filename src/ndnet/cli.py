@@ -156,7 +156,7 @@ def _run_dir(args) -> str:
 
 def _write_json(path, meta: dict, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"meta": meta, **payload}, fh, indent=2)
+        json.dump({"meta": meta, **payload}, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -184,7 +184,10 @@ def cmd_gradcheck(args) -> int:
                           tolerance=args.tol, seed=args.seed, eps=args.eps)
     run_dir = _run_dir(args)
     out_path = os.path.join(run_dir, "gradcheck.json")
-    _write_json(out_path, _meta(args), {"report": asdict(report)})
+    doc = asdict(report)  # a non-finite family error is written as null
+    doc["max_errors"] = {family: err if np.isfinite(err) else None
+                         for family, err in report.max_errors.items()}
+    _write_json(out_path, _meta(args), {"report": doc})
     print(f"gradcheck {args.arch} depth={args.depth}: "
           f"worst relative error {report.worst():.3e} "
           f"(tolerance {report.tolerance:g})")

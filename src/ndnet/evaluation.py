@@ -4,35 +4,33 @@ Everything reported here is deterministic given the seeds carried in the
 inputs and re-uses one fixed noise realization per (seed, eta), so
 architecture comparisons at a given noise level are paired.
 
-The whole-model gradient checks take the analytic side from the public
-``model_forward``/``model_backward``. Their central differences are
-scored in stacks: for each checked array, the fl(x + h) and fl(x - h)
-copies of its checked coordinates are stacked on a new leading axis, in
-blocks of at most ``network._BLOCK_ELEMENTS`` floats per stacked array,
-and each block is scored by one replay through the same private cores
-(``ndlayer._forward``, ``ndlayer._gate``, ``network._dense_forward``),
-which broadcast over that axis. A replay runs only the stages downstream
-of the perturbed array: a dense layer's arrays replay that layer and the
-ones after it from the input it was given, the attention gate's arrays
-replay the gate on the cached pair outputs and then every dense layer,
-and the pairwise coefficients (as the alpha|beta block of the vector)
-and the input replay the whole forward.
+Every gradient check takes its analytic side from the public forwards
+and backwards (``model_forward``/``model_backward``, ``nd_forward*``/
+``nd_backward*``) and its central differences from one engine,
+``_stacked_diffs``: the fl(x + h) and fl(x - h) copies of an array's
+checked coordinates are stacked on a new leading axis, in blocks of at
+most ``network._BLOCK_ELEMENTS`` floats per stacked array, and each block
+is scored by one call through the private cores (``ndlayer._forward``,
+``ndlayer._gate``, ``network._dense_forward``), which broadcast over that
+axis. A bare-layer block, of the alpha|beta coefficients or of the input
+row, is one ``_forward`` call. A whole-model block replays only the
+stages downstream of the perturbed array: a dense layer's arrays replay
+that layer and the ones after it from the input it was given, the
+attention gate's arrays replay the gate on the cached pair outputs and
+then every dense layer, and the pairwise coefficients (as the alpha|beta
+block of the vector) and the input replay the whole forward.
 
 This is exact, not an approximation. The stages before the perturbed
 array see unperturbed parameters and the same row, so their outputs are
-the bits that one unperturbed ``_model_forward`` on the row kept, and a
-one-row ``model_forward`` is one ``_model_forward`` call on that row.
-Every stack item is scored by the elementwise ops and the per-item
-one-row matrix product (``x[:, None, :] @ W.T``, one gemv per item) that
-one row gets; a multi-row product would round differently. The pair
-gather of ``ndlayer._forward`` is C-ordered for a stack too, since a
-strided gather makes the one-row products downstream round differently.
-So every logit, central difference and ``GradcheckReport`` is the one
-that a full ``model_forward`` per evaluation gives, bit for bit, whatever
-the block size. The bare-layer targets keep one evaluation per coordinate
-and sign. On the benchmark's ``gradcheck`` round (2 vCPUs, one BLAS
-thread, medians of 10 runs) the stacks took the wall time from 1.05 s to
-0.27 s.
+the bits that one unperturbed ``_model_forward`` on the row kept. Every
+stack item is scored by the elementwise ops and the per-item one-row
+matrix products (``x[:, None, :] @ W.T`` for a dense layer, ``N @ delta``
+for the layer's functional) that one row gets; a multi-row product would
+round differently. The pair gather of ``ndlayer._forward`` is C-ordered
+for a stack too, since a strided gather makes those products round
+differently. So every central difference and ``GradcheckReport`` is the
+one that a public forward per evaluation gives, bit for bit, whatever the
+block size.
 """
 
 from __future__ import annotations
@@ -45,6 +43,8 @@ from . import data as data_mod
 from . import network as net
 from .ndlayer import (
     NdParams,
+    _check_eps,
+    _forward,
     _gate,
     _pair_indexer,
     nd_backward,
@@ -292,41 +292,34 @@ def _record(worst, family, analytic, numeric):
     worst[family] = float(np.max(errors, initial=worst.get(family, 0.0)))
 
 
-def _central_diff(fn, array, flat_index, h=FD_STEP):
-    orig = array.flat[flat_index]
-    array.flat[flat_index] = orig + h
-    f_plus = fn()
-    array.flat[flat_index] = orig - h
-    f_minus = fn()
-    array.flat[flat_index] = orig
-    return (f_plus - f_minus) / (2.0 * h)
-
-
 # Error families of the whole-model targets; every other array is "dense".
 _FAMILIES = {"nd.alpha": "alpha", "nd.beta": "beta", "attn.weights": "attention",
              "attn.bias": "attention", "input": "input"}
 
+# Public forward and backward, and ``_forward``'s signed flag (softplus
+# lifts the inputs first); the numeric side stacks through ``_forward``.
 _LAYER_VARIANTS = {
     "ndlayer": (nd_forward, nd_backward, False),
     "ndlayer-signed": (nd_forward_signed, nd_backward_signed, True),
-    "ndlayer-softplus": (nd_forward_softplus, nd_backward_softplus, True),
+    "ndlayer-softplus": (nd_forward_softplus, nd_backward_softplus, False),
 }
 
 
 def _gradcheck_layer(target, trials, seed, eps):
     forward, backward, signed = _LAYER_VARIANTS[target]
+    lift = softplus if target == "ndlayer-softplus" else np.asarray
     rng = np.random.default_rng(seed)
     worst = {}
     for _ in range(trials):
         n = int(rng.integers(2, 7))
-        if signed:
+        if target == "ndlayer":
+            bands = rng.uniform(0.01, 1.0, size=n)
+        else:
             bands = rng.uniform(-1.0, 1.0, size=n)
-            if target == "ndlayer-signed":
+            if signed:
                 margin = _signed_input_margin(eps)
                 small = np.abs(bands) < margin
                 bands[small] = np.where(bands[small] >= 0, margin, -margin)
-        else:
-            bands = rng.uniform(0.01, 1.0, size=n)
         n_pairs = pair_count(n)
         params = NdParams(rng.uniform(-2.0, 2.0, size=n_pairs),
                           rng.uniform(-2.0, 2.0, size=n_pairs))
@@ -334,16 +327,22 @@ def _gradcheck_layer(target, trials, seed, eps):
 
         _, cache = forward(bands, params, eps)
         grads = backward(cache, delta, params, eps)
+        idx = _pair_indexer(n)
 
-        def objective():
-            out, _ = forward(bands, params, eps)
-            return float(delta @ out)
+        def objective(x, block):  # delta . N per item of an (S, 1, .) stack
+            coeffs = softplus(block)
+            out, _ = _forward(lift(x), coeffs[..., :n_pairs], coeffs[..., n_pairs:],
+                              eps, idx, signed)
+            return (out @ delta)[:, 0]
 
-        for family, array, analytic in (("alpha", params.alpha, grads.d_alpha),
-                                        ("beta", params.beta, grads.d_beta),
-                                        ("input", bands, grads.d_input)):
-            _record(worst, family, analytic, np.array(
-                [_central_diff(objective, array, k) for k in range(array.size)]))
+        row = bands[None]
+        block = np.concatenate((params.alpha, params.beta))[None]
+        numeric = _stacked_diffs(lambda stack: objective(row, stack), block,
+                                 np.arange(2 * n_pairs), n)
+        _record(worst, "alpha", grads.d_alpha, numeric[:n_pairs])
+        _record(worst, "beta", grads.d_beta, numeric[n_pairs:])
+        _record(worst, "input", grads.d_input, _stacked_diffs(
+            lambda stack: objective(stack, block), row, np.arange(n), n))
     return worst
 
 
@@ -388,30 +387,28 @@ def _gradcheck_model(arch, depth, trials, seed, eps, max_coords):
             coords = np.arange(array.size)
             if max_coords is not None and array.size > max_coords:
                 coords = rng.choice(array.size, size=max_coords, replace=False)
-            numeric = _stacked_diffs(model, row, probe, name, array, coords)
+            base, offset = array, 0
+            if name.startswith("nd."):  # the alpha|beta block, as the core reads it
+                base = model.vector[:2 * model.nd_params.n_pairs]
+                offset = base.size // 2 if name == "nd.beta" else 0
+            numeric = _stacked_diffs(
+                lambda stack: _stacked_logits(model, row, probe, name, stack),
+                base, coords + offset, model.n_bands)
             _record(worst, _FAMILIES.get(name, "dense"), analytic.flat[coords],
                     numeric)
     return worst
 
 
-def _stacked_diffs(model, row, probe, name, array, coords, h=FD_STEP):
-    """Central differences of the logit of ``row`` in the flat ``coords`` of
-    ``array``, the array ``name`` of ``model`` or ``row`` itself.
+def _stacked_diffs(score, base, coords, n_bands, h=FD_STEP):
+    """Central differences of ``score`` in the flat ``coords`` of ``base``.
 
-    The fl(x + h) copies of a block of coordinates and then their fl(x - h)
-    copies are stacked on a new leading axis and scored by one
-    ``_stacked_logits`` replay. The copies are of ``array``, or of the
-    alpha|beta block of the vector for nd.alpha and nd.beta, which the
-    model core transforms at once. A block holds at most
-    ``net._block_rows(model, size)`` copies of ``size`` floats each, and
-    at least one pair.
+    ``score`` maps a stack of S copies of ``base``, shaped
+    ``(S,) + base.shape``, to S values. The fl(x + h) copies of a block of
+    coordinates and then their fl(x - h) copies are stacked and scored by
+    one ``score`` call. A block holds at most
+    ``net._block_rows(n_bands, base.size)`` copies, and at least one pair.
     """
-    base = array
-    if name.startswith("nd."):
-        n = model.nd_params.n_pairs
-        base = model.vector[:2 * n]
-        coords = coords + (n if name == "nd.beta" else 0)
-    per_block = max(1, net._block_rows(model, base.size) // 2)
+    per_block = max(1, net._block_rows(n_bands, base.size) // 2)
     numeric = np.empty(len(coords))
     for start in range(0, len(coords), per_block):
         ks = coords[start:start + per_block]
@@ -420,8 +417,8 @@ def _stacked_diffs(model, row, probe, name, array, coords, h=FD_STEP):
         orig = base.flat[ks]
         stack.reshape(2 * m, -1)[np.arange(2 * m), np.tile(ks, 2)] = np.concatenate(
             (orig + h, orig - h))
-        logits = _stacked_logits(model, row, probe, name, stack)
-        numeric[start:start + m] = (logits[:m] - logits[m:]) / (2.0 * h)
+        values = score(stack)
+        numeric[start:start + m] = (values[:m] - values[m:]) / (2.0 * h)
     return numeric
 
 
@@ -470,8 +467,8 @@ def gradcheck(target: str, depth: int = 3, trials: int = 100,
     outputs). ``max_coords`` caps the coordinates checked per array per
     trial for the whole-model targets (nd depth 4 has 6 dense arrays, so
     up to 6 x 40 dense coordinates per trial at the default); ``None``
-    checks every coordinate. It must be None or an int of at least 1, and
-    ``seed`` an int of at least 0.
+    checks every coordinate. It must be None or an int of at least 1,
+    ``seed`` an int of at least 0, and ``eps`` a positive finite real.
     """
     if target not in GRADCHECK_TARGETS:
         raise ValueError(f"unknown gradcheck target {target!r}")
@@ -484,6 +481,7 @@ def gradcheck(target: str, depth: int = 3, trials: int = 100,
         raise ValueError(f"max_coords must be None or an int of at least 1, "
                          f"got {max_coords!r}")
     data_mod._check_seed(seed)
+    eps = _check_eps(eps)
     if target in _LAYER_VARIANTS:
         worst = _gradcheck_layer(target, trials, seed, eps)
         report_depth = None

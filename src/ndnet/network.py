@@ -437,13 +437,12 @@ class ReplayCache:
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _block_rows(model: Model, width: int = 0) -> int:
+def _block_rows(n_bands: int, width: int = 0) -> int:
     """Rows per block, at least 1, so that no block array exceeds
     ``_BLOCK_ELEMENTS`` floats when a row holds ``width`` floats or the
-    widest per-row activation: the pair count (the mlp hidden width too)
-    or the band count."""
-    return max(1, _BLOCK_ELEMENTS // max(pair_count(model.n_bands),
-                                         model.n_bands, width))
+    widest per-row activation on ``n_bands`` bands: the pair count (the
+    mlp hidden width too) or the band count."""
+    return max(1, _BLOCK_ELEMENTS // max(pair_count(n_bands), n_bands, width))
 
 
 def _model_forward(model: Model, batch, signed: bool = False, nd_block=None):
@@ -474,12 +473,12 @@ def _model_forward(model: Model, batch, signed: bool = False, nd_block=None):
 
 def _model_logits(model: Model, batch, signed: bool = False):
     """Logits of a 2-d batch, scored by ``_model_forward`` in consecutive
-    blocks of ``_block_rows(model)`` rows; no cache is kept.
+    blocks of ``_block_rows(model.n_bands)`` rows; no cache is kept.
 
     Rows are scored independently; only the matrix products may round
     differently for another row count. Nothing is checked.
     """
-    rows = _block_rows(model)
+    rows = _block_rows(model.n_bands)
     logits = np.empty(len(batch))
     for start in range(0, len(batch), rows):
         logits[start:start + rows] = _model_forward(

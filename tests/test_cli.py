@@ -139,13 +139,25 @@ class TestGradcheckCommand:
             return grads, d_bands
 
         monkeypatch.setattr(net, "model_backward", broken)
+        out = tmp_path / "o"
         rc = main(["gradcheck", "--arch", "nd", "--depth", "2", "--trials", "1",
-                   "--out", str(tmp_path / "o")])
+                   "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.splitlines() == [
             "error: tolerance: gradient check gave a non-finite gradient"]
         assert "alpha      nan" in captured.out
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        # strict JSON: the NaN family error is null, never a bare NaN
+        with open(os.path.join(only_run_dir(out), "gradcheck.json")) as fh:
+            report = json.loads(fh.read(), parse_constant=reject)["report"]
+        assert report["max_errors"]["alpha"] is None
+        assert report["passed"] is False
+        assert all(isinstance(report["max_errors"][family], float)
+                   for family in ("beta", "dense", "input"))
 
     def test_unknown_arch_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

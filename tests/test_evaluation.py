@@ -1,10 +1,11 @@
 import math
+import warnings
 from dataclasses import asdict, is_dataclass
 
 import numpy as np
 import pytest
 
-from ndnet import evaluation, network
+from ndnet import evaluation, ndlayer, network
 from ndnet.data import Dataset, SplitSpec, SynthSpec, synth_generate
 from ndnet.evaluation import (
     accuracy,
@@ -368,6 +369,15 @@ class TestGradcheck:
             gradcheck(target, depth=2, trials=1, seed=seed)
         assert str(info.value) == f"seed must be a nonnegative integer, got {seed!r}"
 
+    # a negative eps once warned in the signed input margin before it raised
+    @pytest.mark.parametrize("target", evaluation.GRADCHECK_TARGETS)
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan, math.inf, True])
+    def test_eps_must_be_positive_and_finite(self, target, eps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="eps"):
+                gradcheck(target, depth=2, trials=1, eps=eps)
+
     @pytest.mark.parametrize("max_coords", [1, np.int64(3)])
     def test_smallest_max_coords_checks_every_family(self, max_coords):
         report = gradcheck("attnd", depth=2, trials=1, tolerance=1e-4,
@@ -376,6 +386,18 @@ class TestGradcheck:
         assert set(report.max_errors) == {"alpha", "beta", "attention",
                                           "dense", "input"}
         assert min(report.max_errors.values()) > 0.0
+
+
+def central_diff(fn, array, flat_index, h=evaluation.FD_STEP):
+    """One central difference of ``fn()`` in ``array.flat[flat_index]``,
+    which is perturbed in place and restored."""
+    orig = array.flat[flat_index]
+    array.flat[flat_index] = orig + h
+    f_plus = fn()
+    array.flat[flat_index] = orig - h
+    f_minus = fn()
+    array.flat[flat_index] = orig
+    return (f_plus - f_minus) / (2.0 * h)
 
 
 def full_forward_gradcheck(arch, depth, trials, seed, max_coords, tolerance,
@@ -403,7 +425,7 @@ def full_forward_gradcheck(arch, depth, trials, seed, max_coords, tolerance,
             if max_coords is not None and array.size > max_coords:
                 coords = rng.choice(array.size, size=max_coords, replace=False)
             for k in coords:
-                numeric = evaluation._central_diff(objective, array, int(k))
+                numeric = central_diff(objective, array, int(k))
                 err = evaluation._rel_err(float(analytic.flat[int(k)]), numeric)
                 worst[family] = float(np.maximum(worst[family], err))  # NaN sticks
     return worst, all(err < tolerance for err in worst.values())
@@ -425,6 +447,65 @@ class TestGradcheckReplay:
                                                max_coords, 1e-5)
         assert report.max_errors == worst
         assert report.passed == passed
+
+
+LAYER_FORWARDS = {
+    "ndlayer": (ndlayer.nd_forward, ndlayer.nd_backward),
+    "ndlayer-signed": (ndlayer.nd_forward_signed, ndlayer.nd_backward_signed),
+    "ndlayer-softplus": (ndlayer.nd_forward_softplus,
+                         ndlayer.nd_backward_softplus),
+}
+
+
+def per_coordinate_layer_gradcheck(target, trials, seed, eps=1e-8):
+    """The bare-layer check with one public forward of the 1-d bands per
+    coordinate and sign, drawing from the rng in the order gradcheck does;
+    returns max_errors."""
+    forward, backward = LAYER_FORWARDS[target]
+    rng = np.random.default_rng(seed)
+    worst = {}
+    for _ in range(trials):
+        n = int(rng.integers(2, 7))
+        if target == "ndlayer":
+            bands = rng.uniform(0.01, 1.0, size=n)
+        else:
+            bands = rng.uniform(-1.0, 1.0, size=n)
+        if target == "ndlayer-signed":
+            margin = max(5e-3, 2.0 * math.sqrt(eps))
+            small = np.abs(bands) < margin
+            bands[small] = np.where(bands[small] >= 0, margin, -margin)
+        n_pairs = n * (n - 1) // 2
+        params = ndlayer.NdParams(rng.uniform(-2.0, 2.0, size=n_pairs),
+                                  rng.uniform(-2.0, 2.0, size=n_pairs))
+        delta = rng.uniform(-1.0, 1.0, size=n_pairs)
+        _, cache = forward(bands, params, eps)
+        grads = backward(cache, delta, params, eps)
+
+        def objective():
+            return float(delta @ forward(bands, params, eps)[0])
+
+        for family, array, analytic in (("alpha", params.alpha, grads.d_alpha),
+                                        ("beta", params.beta, grads.d_beta),
+                                        ("input", bands, grads.d_input)):
+            numeric = [central_diff(objective, array, k) for k in range(array.size)]
+            errors = evaluation._rel_err(analytic, np.array(numeric))
+            worst[family] = float(np.max(errors, initial=worst.get(family, 0.0)))
+    return worst
+
+
+class TestLayerGradcheckReplay:
+    """The bare-layer checks score their perturbed copies in stacks and give
+    the reports of one public forward per coordinate and sign, bit for bit,
+    failing seeds included."""
+
+    @pytest.mark.parametrize("target", list(LAYER_FORWARDS))
+    @pytest.mark.parametrize("seed", [0, 5, 50, 186, 454, 473])
+    def test_reports_equal_per_coordinate_reference(self, target, seed):
+        report = gradcheck(target, trials=100, tolerance=1e-5, seed=seed)
+        worst = per_coordinate_layer_gradcheck(target, 100, seed)
+        assert report.max_errors == worst
+        assert report.passed == all(err < 1e-5 for err in worst.values())
+        assert report.depth is None
 
 
 class TestGradcheckNonFinite:
@@ -481,6 +562,13 @@ def _array_sizes(values):
 
 MODEL_TARGETS = [(arch, depth) for arch in ("nd", "mlp", "attnd")
                  for depth in (2, 3, 4)]
+LAYER_TARGETS = [(target, 3) for target in LAYER_FORWARDS]  # depth unused
+
+
+def every_target_report(seed):
+    """One trial of every gradcheck target, every coordinate."""
+    return [gradcheck(target, depth=depth, trials=1, seed=seed, max_coords=None)
+            for target, depth in MODEL_TARGETS + LAYER_TARGETS]
 
 
 class TestStackedGradcheck:
@@ -511,24 +599,28 @@ class TestStackedGradcheck:
         assert max(others.values()) < 1e-5
 
     def test_blocks_of_one_pair_give_the_same_reports(self, monkeypatch):
-        def reports():
-            return [gradcheck(arch, depth=depth, trials=1, seed=3,
-                              max_coords=None) for arch, depth in MODEL_TARGETS]
-
-        default = reports()
+        default = every_target_report(3)
         stack_lengths = set()
+        layer_lengths = set()
         real = evaluation._stacked_logits
+        real_forward = evaluation._forward
 
         def spy(model, row, probe, name, stack):
             stack_lengths.add(len(stack))
             return real(model, row, probe, name, stack)
 
+        def forward_spy(batch, sa, sb, *args):
+            layer_lengths.add(max(len(batch), len(sa)))
+            return real_forward(batch, sa, sb, *args)
+
         monkeypatch.setattr(evaluation, "_stacked_logits", spy)
+        monkeypatch.setattr(evaluation, "_forward", forward_spy)
         monkeypatch.setattr(network, "_BLOCK_ELEMENTS", 1)
-        for got, want in zip(reports(), default, strict=True):
+        for got, want in zip(every_target_report(3), default, strict=True):
             assert got.max_errors == want.max_errors
             assert got.passed == want.passed
         assert stack_lengths == {2}
+        assert layer_lengths == {2}
 
     def test_no_stacked_array_exceeds_the_block(self, monkeypatch):
         sizes = []
@@ -543,11 +635,11 @@ class TestStackedGradcheck:
             monkeypatch.setattr(module, name, wrapper)
 
         for module, name in ((evaluation, "_stacked_logits"), (evaluation, "_gate"),
+                             (evaluation, "_forward"), (evaluation, "softplus"),
                              (network, "_gate"), (network, "_forward"),
                              (network, "_dense_forward"), (network, "softplus")):
             spy(module, name)
-        for arch, depth in MODEL_TARGETS:
-            gradcheck(arch, depth=depth, trials=1, seed=3, max_coords=None)
+        every_target_report(3)
         assert max(sizes) <= network._BLOCK_ELEMENTS
         assert max(sizes) > network._BLOCK_ELEMENTS // 2  # blocks fill up
 
