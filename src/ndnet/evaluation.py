@@ -12,13 +12,15 @@ checked coordinates are stacked on a new leading axis, in blocks of at
 most ``network._BLOCK_ELEMENTS`` floats per stacked array, and each block
 is scored by one call through the private cores (``ndlayer._forward``,
 ``ndlayer._gate``, ``network._dense_forward``), which broadcast over that
-axis. A bare-layer block, of the alpha|beta coefficients or of the input
-row, is one ``_forward`` call. A whole-model block replays only the
-stages downstream of the perturbed array: a dense layer's arrays replay
-that layer and the ones after it from the input it was given, the
-attention gate's arrays replay the gate on the cached pair outputs and
-then every dense layer, and the pairwise coefficients (as the alpha|beta
-block of the vector) and the input replay the whole forward.
+axis. A bare-layer block, of the raw alpha|beta coefficients or of the
+input row, is one ``_forward`` call, which applies softplus to the block
+itself. A whole-model block replays only the stages downstream of the
+perturbed array: a dense layer's arrays replay that layer and the ones
+after it from the input it was given, the attention gate's arrays replay
+the gate on the cached pair outputs and then every dense layer, the
+pairwise coefficients (as the alpha|beta block of the vector) replay
+``_forward`` on the stacked block, then the gate and the dense layers,
+and the input replays the whole forward.
 
 This is exact, not an approximation. The stages before the perturbed
 array see unperturbed parameters and the same row, so their outputs are
@@ -330,9 +332,7 @@ def _gradcheck_layer(target, trials, seed, eps):
         idx = _pair_indexer(n)
 
         def objective(x, block):  # delta . N per item of an (S, 1, .) stack
-            coeffs = softplus(block)
-            out, _ = _forward(lift(x), coeffs[..., :n_pairs], coeffs[..., n_pairs:],
-                              eps, idx, signed)
+            out, _ = _forward(lift(x), block, eps, idx, signed)
             return (out @ delta)[:, 0]
 
         row = bands[None]
@@ -436,13 +436,15 @@ def _stacked_logits(model, row, probe, name, stack):
     stage, _, part = name.partition(".")
     if stage == "input":
         return net._model_forward(model, stack)[0][:, 0]
+    layers = model.layers
     if stage == "nd":
-        return net._model_forward(model, row, nd_block=stack[:, None])[0][:, 0]
-    if stage == "attn":
+        x, _ = _forward(row, stack[:, None], model.eps, model.indexer, False)
+        if model.attn_weights is not None:
+            x, _ = _gate(row, model.attn_weights, model.attn_bias, x)
+    elif stage == "attn":
         W, c = ((stack, model.attn_bias) if part == "weights"
                 else (model.attn_weights, stack[:, None]))
         x, _ = _gate(row, W, c, probe.gate.nd_outputs)
-        layers = model.layers
     else:
         k = int(stage[len("dense"):])
         layer = model.layers[k]

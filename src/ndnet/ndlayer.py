@@ -17,46 +17,50 @@ outputs lie in [-1, 1]. The three variants differ only in m:
 * ``nd_forward_softplus``: the identity after mapping inputs through softplus.
 
 The backward passes use closed-form partial derivatives. With
-A = sa*b_i - sb*b_j and B the denominator, the quotient rule gives
+A = sa*b_i - sb*b_j, B the denominator and X = b_i*m(b_j) + m(b_i)*b_j,
+the quotient rule gives
 
-    dN/dsa =  (b_i*B - A*m(b_i)) / B^2    dN/db_i =  sa*(B - A*m'(b_i)) / B^2
-    dN/dsb = -(b_j*B + A*m(b_j)) / B^2    dN/db_j = -sb*(B + A*m'(b_j)) / B^2
+    dN/dsa =  (b_i*B - A*m(b_i)) / B^2 =  (sb*X + eps*b_i) / B^2
+    dN/dsb = -(b_j*B + A*m(b_j)) / B^2 = -(sa*X + eps*b_j) / B^2
+    dN/db_i =  sa*(B - A*m'(b_i)) / B^2    dN/db_j = -sb*(B + A*m'(b_j)) / B^2
 
 and dsa/dalpha = sigmoid(alpha). For the identity, B - A = 2*sb*b_j + eps
-and B + A = 2*sa*b_i + eps remove the cancellation, e.g.
-dN/db_i = sa*(2*sb*b_j + eps) / B^2; the softplus variant chains this with
-d softplus(b)/db = sigmoid(b).
+and B + A = 2*sa*b_i + eps remove the cancellation from the input
+gradient; the signed variant keeps the quotient form B - A*b_i/m(b_i), and
+the softplus variant chains the identity's with sigmoid(b), the
+derivative of softplus(b). Both variants take the coefficient gradients
+from three batch sums: with R = delta/B^2 for the upstream gradient delta,
+
+    S_x = sum_b R*X    S_i = sum_b R*b_i    S_j = sum_b R*b_j
+    dL/dalpha =  sigmoid(alpha) * (sb*S_x + eps*S_i)
+    dL/dbeta  = -sigmoid(beta)  * (sa*S_x + eps*S_j)
+
+where X = 2*b_i*b_j for the identity. Every per-element term is a product
+of R and the bands, so no large quotient-rule terms cancel, the sums'
+rounding error is bounded by a few ulps of the sum of the terms'
+magnitudes, and the sigmoids multiply the (n_pairs,) sums.
 
 All forwards accept a single channel vector of shape (n,) or a batch of
 shape (batch, n). Parameter gradients are summed over the batch axis;
-input gradients keep the input's shape.
-
-For the identity the coefficient gradients are taken from three batch
-sums. With R = delta/B^2 for the upstream gradient delta,
-
-    S_ij = sum_b R*b_i*b_j    S_i = sum_b R*b_i    S_j = sum_b R*b_j
-    dL/dalpha =  sigmoid(alpha) * (2*sb*S_ij + eps*S_i)
-    dL/dbeta  = -sigmoid(beta)  * (2*sa*S_ij + eps*S_j)
-
-which is the quotient rule above summed over the batch: delta*dN/dsa =
-R*b_i*(2*sb*b_j + eps), and so on. Every per-element term is a product of
-nonnegative factors and R, so nothing cancels, the sums' rounding error
-is bounded by a few ulps of the sum of the terms' magnitudes, and the
-sigmoids multiply the (n_pairs,) sums, not every element.
-
-Each band's input gradient sums the terms of the n-1 pairs that contain
-it. The backward pass gathers them with two matrix products against the
-one-hot incidence matrices of ``PairIndexer`` (pair p has a 1 in column
-i_p of ``inc_i`` and in column j_p of ``inc_j``), not with a scatter-add;
-the sums are the same up to rounding order (a few ulps).
+input gradients keep the input's shape. Each band's input gradient sums
+the terms of the n-1 pairs that contain it, gathered with two matrix
+products against the one-hot incidence matrices of ``PairIndexer`` (pair
+p has a 1 in column i_p of ``inc_i`` and in column j_p of ``inc_j``), not
+with a scatter-add; the sums are the same up to rounding order.
 
 The math lives in private cores (``_forward``, ``_backward``) that take
-2-d arrays, precomputed softplus/sigmoid coefficients and output arrays,
-and check nothing; the public functions validate, then call them. The
-forward gathers each pair's two bands in C order (``take`` along the
-last axis, whatever the batch rank) and caches three per-pair arrays:
-the gathered b_i and b_j and the denominator B. The ``attnd`` model's
-attention gate has private cores only (``_gate``, ``_gate_backward``).
+2-d arrays and output arrays and check nothing; the public functions
+validate, then call them, and the public backwards reject ``params`` of
+another pair count or an eps other than the cached forward's. The cores
+own both coefficient transforms: ``_forward`` applies softplus once to
+the raw alpha|beta block and caches it with eps, and ``_backward`` takes
+the sigmoids from that cache as -expm1(-softplus), sigmoid to a few ulps
+(1 - exp(-log(1 + e^x)) = e^x / (1 + e^x)), so the public layer, the model
+cores and the gradient checks share one coefficient rule. The forward
+gathers each pair's two bands in C order (``take`` along the last axis,
+whatever the batch rank) and caches them and the denominator B. The
+``attnd`` model's attention gate has private cores only (``_gate``,
+``_gate_backward``).
 """
 
 from __future__ import annotations
@@ -159,17 +163,19 @@ class NdParams:
 
 @dataclass
 class NdCache:
-    """Forward quantities needed by every backward variant: the softplus
-    coefficients and three C-ordered (batch, n_pairs) arrays. The signed
-    backward recomputes the numerator sa*b_i - sb*b_j from them; no
-    backward reads the output N."""
+    """Forward quantities needed by every backward variant: the softplus of
+    the alpha|beta block, the forward's eps and three C-ordered
+    (batch, n_pairs) arrays. The signed backward recomputes the numerator
+    sa*b_i - sb*b_j from them; no backward reads the output N."""
 
-    sigma_alpha: np.ndarray  # (n_pairs,), softplus(alpha)
-    sigma_beta: np.ndarray  # (n_pairs,), softplus(beta)
+    coeffs: np.ndarray  # (2 * n_pairs,), softplus of the alpha|beta block
+    sigma_alpha: np.ndarray  # its first half, softplus(alpha)
+    sigma_beta: np.ndarray  # its second half, softplus(beta)
     b_i: np.ndarray  # (batch, n_pairs), each pair's first band
     b_j: np.ndarray  # (batch, n_pairs), each pair's second band
     denom: np.ndarray  # (batch, n_pairs)
     indexer: PairIndexer
+    eps: float
     single: bool = False  # True when the public forward saw a 1-d input
     raw: np.ndarray | None = None  # pre-softplus inputs, softplus variant only
 
@@ -225,22 +231,27 @@ def _smooth_abs(b, eps):
     return np.sqrt(m, out=m)
 
 
-def _forward(batch, sa, sb, eps, idx: PairIndexer, signed: bool):
+def _forward(batch, block, eps, idx: PairIndexer, signed: bool):
     """The quotient over all pairs of a 2-d batch; inputs are not checked.
 
-    ``sa`` and ``sb`` are softplus(alpha) and softplus(beta). With m the
-    identity the denominator reuses the numerator's two products. The
-    sums and the quotient update their first operand in place, which
-    keeps the peak memory of a large batch down and gives the same values.
+    ``block`` is the raw alpha|beta block, alpha's n_pairs values then
+    beta's. One ``softplus`` call turns it into sa|sb, which the cache
+    keeps, with ``eps``, for ``_backward``. With m the identity the
+    denominator reuses the numerator's two products. The sums and the
+    quotient update their first operand in place, which keeps the peak
+    memory of a large batch down and gives the same values.
 
-    Gradient checks pass an (S, 1, n) stack of one-row batches, or ``sa``
-    and ``sb`` as (S, 1, n_pairs) stacks. Every batch is gathered in C
+    Gradient checks pass an (S, 1, n) stack of one-row batches, or an
+    (S, 1, 2 * n_pairs) stack of blocks. Every batch is gathered in C
     order (``take`` along the last axis): a fancy-index gather comes out
     strided, which slows the elementwise passes that meet C-ordered arrays
     and makes a stacked one-row product round differently from one row's.
     The method, not ``np.take``, since the function's dispatch costs a
     one-row call about as much as the gather.
     """
+    coeffs = softplus(block)
+    sa = coeffs[..., :idx.n_pairs]
+    sb = coeffs[..., idx.n_pairs:]
     b_i = batch.take(idx.i_idx, axis=-1)
     b_j = batch.take(idx.j_idx, axis=-1)
     out = sa * b_i
@@ -253,71 +264,63 @@ def _forward(batch, sa, sb, eps, idx: PairIndexer, signed: bool):
     denom += eps
     out -= sb_bj
     out /= denom
-    return out, NdCache(sa, sb, b_i, b_j, denom, idx)
+    return out, NdCache(coeffs, sa, sb, b_i, b_j, denom, idx, eps)
 
 
-def _backward(cache: NdCache, delta, sig_a, sig_b, eps, signed: bool,
-              d_alpha, d_beta, need_input: bool = True):
+def _backward(cache: NdCache, delta, signed: bool, d_alpha, d_beta,
+              need_input: bool = True):
     """Quotient-rule gradients of ``_forward``, with the same ``signed``.
 
-    ``delta`` is 2-d like the cached forward; ``sig_a``/``sig_b`` are
-    sigmoid(alpha) and sigmoid(beta). The coefficient gradients are written
-    into ``d_alpha`` and ``d_beta``; returns the input gradient, or None
-    when ``need_input`` is false. Nothing is checked.
+    ``delta`` is 2-d like the cached forward. The coefficient gradients
+    are written into ``d_alpha`` and ``d_beta``; returns the input
+    gradient, or None when ``need_input`` is false. Nothing is checked.
     """
     sa, sb = cache.sigma_alpha, cache.sigma_beta
     b_i, b_j = cache.b_i, cache.b_j
-    B = cache.denom
-    idx = cache.indexer
-    if not signed:
-        # The three batch sums of the module docstring, with R = delta/B^2.
-        R = np.square(B)
-        np.divide(delta, R, out=R)
-        s_i = np.einsum("bp,bp->p", R, b_i)
-        s_j = np.einsum("bp,bp->p", R, b_j)
-        t = R * b_i
-        t *= b_j
-        s_ij = np.add.reduce(t, axis=0)
-        np.multiply(sb, s_ij, out=d_alpha)
-        d_alpha *= 2.0
-        d_alpha += eps * s_i
-        d_alpha *= sig_a
-        np.multiply(sa, s_ij, out=d_beta)
-        d_beta *= -2.0
-        d_beta -= eps * s_j
-        d_beta *= sig_b
-        if not need_input:
-            return None
-        # delta*dN/db_i = sa*R*(2*sb*b_j + eps), delta*dN/db_j likewise.
-        w_i = b_j * (2.0 * sb)
-        w_i += eps
-        w_i *= R
-        w_j = b_i * (2.0 * sa)
-        w_j += eps
-        w_j *= R
-        return (w_i * sa) @ idx.inc_i - (w_j * sb) @ idx.inc_j
-
-    # w_i = (dN/db_i) / sa and w_j = -(dN/db_j) / sb; u_i = dN/dsa and
-    # u_j = -dN/dsb.
-    denom_sq = B ** 2
-    A = sa * b_i
-    A -= sb * b_j
-    m_i = _smooth_abs(b_i, eps)
-    m_j = _smooth_abs(b_j, eps)
-    w_i = (B - A * b_i / m_i) / denom_sq
-    w_j = (B + A * b_j / m_j) / denom_sq
-    u_i = (b_i * B - A * m_i) / denom_sq
-    u_j = (b_j * B + A * m_j) / denom_sq
-    t = delta * sig_a
-    t *= u_i
-    np.add.reduce(t, axis=0, out=d_alpha)
-    np.multiply(delta, sig_b, out=t)
-    t *= u_j
-    np.add.reduce(t, axis=0, out=d_beta)
-    np.negative(d_beta, out=d_beta)
+    B, eps, idx = cache.denom, cache.eps, cache.indexer
+    m_i, m_j = ((_smooth_abs(b_i, eps), _smooth_abs(b_j, eps)) if signed
+                else (b_i, b_j))
+    # The three batch sums of the module docstring, with R = delta/B^2.
+    R = np.square(B)
+    np.divide(delta, R, out=R)
+    s_i = np.einsum("bp,bp->p", R, b_i)
+    s_j = np.einsum("bp,bp->p", R, b_j)
+    t = R * b_i
+    t *= m_j
+    if signed:
+        u = R * m_i
+        u *= b_j
+        t += u
+    s_x = np.add.reduce(t, axis=0)
+    if not signed:  # m_i*b_j = b_i*m_j, so the second product is the first
+        s_x *= 2.0
+    neg_sig = np.expm1(-cache.coeffs)  # -sigmoid(alpha|beta)
+    n = idx.n_pairs
+    np.multiply(sb, s_x, out=d_alpha)
+    d_alpha += eps * s_i
+    d_alpha *= neg_sig[:n]
+    np.negative(d_alpha, out=d_alpha)
+    np.multiply(sa, s_x, out=d_beta)
+    d_beta += eps * s_j
+    d_beta *= neg_sig[n:]
     if not need_input:
         return None
-    return (delta * sa * w_i) @ idx.inc_i - (delta * sb * w_j) @ idx.inc_j
+    # delta*dN/db_i = sa*R*(B - A*m'(b_i)), delta*dN/db_j = -sb*R*(B +
+    # A*m'(b_j)); for the identity these factors are 2*sb*b_j + eps and
+    # 2*sa*b_i + eps.
+    if signed:
+        A = sa * b_i
+        A -= sb * b_j
+        w_i = B - A * b_i / m_i
+        w_j = B + A * b_j / m_j
+    else:
+        w_i = b_j * (2.0 * sb)
+        w_i += eps
+        w_j = b_i * (2.0 * sa)
+        w_j += eps
+    w_i *= R
+    w_j *= R
+    return (w_i * sa) @ idx.inc_i - (w_j * sb) @ idx.inc_j
 
 
 def _checked_forward(bands, params: NdParams, eps, signed: bool):
@@ -331,7 +334,7 @@ def _checked_forward(bands, params: NdParams, eps, signed: bool):
             f"params carry {params.n_pairs} pairs but input implies "
             f"{idx.n_pairs}"
         )
-    out, cache = _forward(batch, softplus(params.alpha), softplus(params.beta),
+    out, cache = _forward(batch, np.concatenate((params.alpha, params.beta)),
                           eps, idx, signed)
     cache.single = single
     return (out[0] if single else out), cache
@@ -341,18 +344,21 @@ def _checked_backward(cache: NdCache, upstream, params: NdParams, eps,
                       signed: bool) -> NdGradients:
     """Validate, then run ``_backward``; the public backwards share this."""
     eps = _check_eps(eps)
+    n_pairs = cache.indexer.n_pairs
+    if params.n_pairs != n_pairs:
+        raise ValueError(f"params carry {params.n_pairs} pairs but the cached "
+                         f"forward has {n_pairs}")
+    if eps != cache.eps:
+        raise ValueError(f"eps {eps!r} differs from the cached forward's eps "
+                         f"{cache.eps!r}")
     delta = np.asarray(upstream, dtype=np.float64)
     if cache.single:
         delta = delta[None, :]
     if delta.shape != cache.denom.shape:
-        raise ValueError(
-            f"upstream shape {delta.shape} does not match cached forward "
-            f"shape {cache.denom.shape}"
-        )
-    d_alpha = np.empty(params.n_pairs)
-    d_beta = np.empty(params.n_pairs)
-    d_input = _backward(cache, delta, sigmoid(params.alpha),
-                        sigmoid(params.beta), eps, signed, d_alpha, d_beta)
+        raise ValueError(f"upstream shape {delta.shape} does not match cached "
+                         f"forward shape {cache.denom.shape}")
+    d_alpha, d_beta = np.empty(n_pairs), np.empty(n_pairs)
+    d_input = _backward(cache, delta, signed, d_alpha, d_beta)
     if cache.single:
         d_input = d_input[0]
     return NdGradients(d_alpha, d_beta, d_input)
@@ -374,9 +380,10 @@ def nd_backward(cache: NdCache, upstream, params: NdParams,
     """Backward pass matching ``nd_forward``.
 
     ``upstream`` is dLoss/dN per pair, shaped like the forward output.
+    The gradients are taken at the coefficients the forward cached;
+    ``params`` of another pair count or another eps raise a ValueError.
     Coefficient gradients are summed over the batch axis; each band's
-    input gradient accumulates the contributions of all n-1 pairs that
-    contain it.
+    input gradient accumulates the contributions of all n-1 pairs.
     """
     return _checked_backward(cache, upstream, params, eps, signed=False)
 

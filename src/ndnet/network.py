@@ -32,12 +32,11 @@ Each formula lives in one private core that checks nothing
 ``_dense_backward`` here, ``_forward``/``_backward`` and ``_gate``/
 ``_gate_backward`` in ndlayer). A ``Model`` checks its layout and vector
 when it is built, and ``_check_input`` decides which bands it accepts, for
-``model_forward`` and ``train`` alike. The forward core applies softplus
-to the adjacent alpha|beta block of the vector, once per call, and caches
-the result; the backward takes sigmoid = 1 - exp(-softplus) from it.
-``train()`` validates its sets once and then runs the cores directly: per
-step it writes every gradient into one preallocated vector and skips the
-input gradient nobody reads.
+``model_forward`` and ``train`` alike. ``_model_forward`` hands the raw
+alpha|beta block of the vector to ``ndlayer._forward``, which owns the
+softplus/sigmoid transforms. ``train()`` validates its sets once and then
+runs the cores directly: per step it writes every gradient into one
+preallocated vector and skips the input gradient nobody reads.
 
 Scoring keeps no per-pair array: ``model_forward`` and ``train()``'s
 validation pass run ``_model_forward`` over fixed row blocks
@@ -414,7 +413,6 @@ def count_params(model: Model) -> int:
 class ModelCache:
     """What ``_model_backward`` reads: every intermediate of one forward."""
 
-    coeffs: object  # softplus of the alpha|beta block for nd archs, else None
     first: object  # NdCache for nd archs, else None
     gate: object  # AttentionCache for attnd, else None
     dense: list  # DenseCache per dense layer
@@ -445,30 +443,27 @@ def _block_rows(n_bands: int, width: int = 0) -> int:
     return max(1, _BLOCK_ELEMENTS // max(pair_count(n_bands), n_bands, width))
 
 
-def _model_forward(model: Model, batch, signed: bool = False, nd_block=None):
+def _model_forward(model: Model, batch, signed: bool = False):
     """Logits of a 2-d batch and the cache for ``_model_backward``.
 
-    The adjacent alpha|beta block of ``model.vector`` goes through one
-    ``softplus`` call; the first half is alpha's, the second beta's.
-    ``nd_block`` stands in for that block: gradient checks pass a
-    (S, 1, 2 * n_pairs) stack of perturbed blocks, or an (S, 1, n_bands)
-    stack of one-row batches as ``batch``, and get (S, 1) logits. Nothing
-    is checked: ``model_forward`` and ``train`` validate the inputs first.
+    The pairwise core reads the adjacent alpha|beta block of
+    ``model.vector``, alpha's half first. Gradient checks pass an
+    (S, 1, n_bands) stack of one-row batches and get (S, 1) logits.
+    Nothing is checked: ``model_forward`` and ``train`` validate the
+    inputs first.
     """
-    coeffs = first = gate = None
+    first = gate = None
     x = batch
     if model.nd_params is not None:
-        n = model.nd_params.n_pairs
-        coeffs = softplus(model.vector[:2 * n] if nd_block is None else nd_block)
-        x, first = _forward(batch, coeffs[..., :n], coeffs[..., n:], model.eps,
-                            model.indexer, signed)
+        x, first = _forward(batch, model.vector[:2 * model.nd_params.n_pairs],
+                            model.eps, model.indexer, signed)
         if model.attn_weights is not None:
             x, gate = _gate(batch, model.attn_weights, model.attn_bias, x)
     dense = []
     for layer in model.layers:
         x, cache = _dense_forward(layer, x)
         dense.append(cache)
-    return x[:, 0], ModelCache(coeffs, first, gate, dense, signed)
+    return x[:, 0], ModelCache(first, gate, dense, signed)
 
 
 def _model_logits(model: Model, batch, signed: bool = False):
@@ -491,12 +486,9 @@ def _model_backward(model: Model, cache: ModelCache, d_logit, grads,
     """Write every parameter gradient into ``grads``; return d_bands.
 
     ``d_logit`` is 1-d with one entry per cached row and ``grads`` holds
-    views shaped like ``model.parameters()``, in that order. The sigmoids
-    of the alpha|beta block come from the softplus the forward cached, as
-    -expm1(-softplus), which is sigmoid to a few ulps (1 - exp(-log(1 +
-    e^x)) = e^x / (1 + e^x)). With ``need_input`` false the
-    first layer's input gradient is skipped and None is returned. Nothing
-    is checked.
+    views shaped like ``model.parameters()``, in that order. With
+    ``need_input`` false the first layer's input gradient is skipped and
+    None is returned. Nothing is checked.
     """
     delta = d_logit[:, None]
     lead = len(grads) - 2 * len(model.layers)
@@ -510,10 +502,8 @@ def _model_backward(model: Model, cache: ModelCache, d_logit, grads,
     if model.attn_weights is not None:
         delta, gate_bands = _gate_backward(cache.gate, delta, grads[2],
                                            grads[3], need_input)
-    n = model.nd_params.n_pairs
-    sigmas = -np.expm1(-cache.coeffs)
-    d_bands = _backward(cache.first, delta, sigmas[:n], sigmas[n:], model.eps,
-                        cache.signed, grads[0], grads[1], need_input)
+    d_bands = _backward(cache.first, delta, cache.signed, grads[0], grads[1],
+                        need_input)
     if gate_bands is not None:
         d_bands = d_bands + gate_bands
     return d_bands

@@ -609,9 +609,9 @@ class TestStackedGradcheck:
             stack_lengths.add(len(stack))
             return real(model, row, probe, name, stack)
 
-        def forward_spy(batch, sa, sb, *args):
-            layer_lengths.add(max(len(batch), len(sa)))
-            return real_forward(batch, sa, sb, *args)
+        def forward_spy(batch, block, *args):
+            layer_lengths.add(max(len(batch), len(block)))
+            return real_forward(batch, block, *args)
 
         monkeypatch.setattr(evaluation, "_stacked_logits", spy)
         monkeypatch.setattr(evaluation, "_forward", forward_spy)

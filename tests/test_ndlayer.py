@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,25 +300,32 @@ class TestNdBackward:
                         reason="np.longdouble is no wider than float64 here")
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 40),
-           n_bands=st.integers(2, 12), eps=st.sampled_from([1e-12, 1e-8, 1e-3]))
+           n_bands=st.integers(2, 12), eps=st.sampled_from([1e-12, 1e-8, 1e-3]),
+           signed=st.booleans())
     def test_coefficient_gradients_within_summation_bound(self, seed, rows,
-                                                          n_bands, eps):
-        # The three batch sums add terms that are all products, so each
-        # coefficient gradient stays within (rows + 16) ulps of the sum of
-        # the magnitudes of its quotient-rule terms: about 12 roundings per
-        # term (B, B^2, the quotient, two products), rows - 1 in the batch
-        # sum and 3 after it. Zero bands and bands of 1e-5 are where a
-        # cancelling form such as 1 - N would lose its relative accuracy.
+                                                          n_bands, eps, signed):
+        # The three batch sums add terms that are all products (S_x adds
+        # two per element, R*b_i*m_j and R*m_i*b_j), so each coefficient
+        # gradient stays within (rows + 16) ulps of the sum of the
+        # magnitudes of its quotient-rule terms, each product counted
+        # apart: about 12 roundings per term (B, B^2, the quotient, two
+        # products), rows - 1 in the batch sum and 3 after it. Zero bands
+        # and bands of +-1e-5 are where a cancelling form such as 1 - N or
+        # b_i*B - A*m(b_i) would lose its relative accuracy.
         rng = np.random.default_rng(seed)
-        bands = rng.uniform(0.0, 1.0, size=(rows, n_bands))
+        low = -1.0 if signed else 0.0
+        bands = rng.uniform(low, 1.0, size=(rows, n_bands))
         pick = rng.uniform(size=bands.shape)
         bands[pick < 0.2] = 0.0
-        bands[(pick >= 0.2) & (pick < 0.4)] = 1e-5
+        tiny = (pick >= 0.2) & (pick < 0.4)
+        bands[tiny] = 1e-5 * np.sign(bands[tiny])
         n_pairs = pair_count(n_bands)
         params = NdParams(rng.uniform(-4, 4, n_pairs), rng.uniform(-4, 4, n_pairs))
-        _, cache = nd_forward(bands, params, eps)
+        forward, backward = ((nd_forward_signed, nd_backward_signed) if signed
+                             else (nd_forward, nd_backward))
+        _, cache = forward(bands, params, eps)
         delta = rng.uniform(-1.0, 1.0, size=(rows, n_pairs))
-        g = nd_backward(cache, delta, params, eps)
+        g = backward(cache, delta, params, eps)
 
         def wide(x):
             return np.asarray(x, dtype=np.longdouble)
@@ -325,15 +333,53 @@ class TestNdBackward:
         sa, sb = wide(softplus(params.alpha)), wide(softplus(params.beta))
         idx, eps_w = cache.indexer, wide(eps)
         b_i, b_j = wide(bands[:, idx.i_idx]), wide(bands[:, idx.j_idx])
-        R = wide(delta) / (sa * b_i + sb * b_j + eps_w) ** 2
-        terms = {
-            "alpha": R * wide(sigmoid(params.alpha)) * b_i * (2 * sb * b_j + eps_w),
-            "beta": -R * wide(sigmoid(params.beta)) * b_j * (2 * sa * b_i + eps_w),
+        m_i, m_j = b_i, b_j
+        if signed:
+            m_i, m_j = np.sqrt(b_i ** 2 + eps_w), np.sqrt(b_j ** 2 + eps_w)
+        R = wide(delta) / (sa * m_i + sb * m_j + eps_w) ** 2
+        cross = b_i * m_j + m_i * b_j
+        cross_abs = np.abs(b_i * m_j) + np.abs(m_i * b_j)
+        r_a, r_b = R * wide(sigmoid(params.alpha)), R * wide(sigmoid(params.beta))
+        terms = {  # (terms, their magnitudes)
+            "alpha": (r_a * (sb * cross + eps_w * b_i),
+                      np.abs(r_a) * (sb * cross_abs + eps_w * np.abs(b_i))),
+            "beta": (-r_b * (sa * cross + eps_w * b_j),
+                     np.abs(r_b) * (sa * cross_abs + eps_w * np.abs(b_j))),
         }
         bound = (rows + 16) * np.finfo(float).eps
-        for got, (name, t) in zip((g.d_alpha, g.d_beta), terms.items()):
+        for got, (name, (t, size)) in zip((g.d_alpha, g.d_beta), terms.items()):
             err = np.abs(wide(got) - t.sum(axis=0))
-            assert (err <= bound * np.abs(t).sum(axis=0)).all(), name
+            assert (err <= bound * size.sum(axis=0)).all(), name
+
+    @pytest.mark.parametrize("variant", ["plain", "signed", "softplus"])
+    @pytest.mark.parametrize("forward_bands, backward_bands", [(2, 10), (10, 2)])
+    def test_backward_rejects_params_of_another_pair_count(
+            self, variant, forward_bands, backward_bands, rng):
+        # a 1-pair forward's cache once gave 45 d_alpha values for 45-pair
+        # params, without an error
+        forward, backward = TestIncidenceScatter.VARIANTS[variant]
+        n_pairs = pair_count(forward_bands)
+        _, cache = forward(rng.uniform(0.01, 1.0, forward_bands),
+                           NdParams.zeros(n_pairs))
+        other = NdParams.zeros(pair_count(backward_bands))
+        with pytest.raises(ValueError, match=(
+                f"params carry {other.n_pairs} pairs but the cached forward "
+                f"has {n_pairs}")):
+            backward(cache, np.ones(n_pairs), other)
+
+    @pytest.mark.parametrize("variant", ["plain", "signed", "softplus"])
+    @pytest.mark.parametrize("forward_eps, backward_eps", [(1e-8, 0.5), (0.5, 1e-8)])
+    def test_backward_rejects_another_eps(self, variant, forward_eps,
+                                          backward_eps, rng):
+        # the backward once took its eps from the caller, so another eps than
+        # the forward's silently gave other gradients
+        forward, backward = TestIncidenceScatter.VARIANTS[variant]
+        params = NdParams(rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 6))
+        _, cache = forward(rng.uniform(0.01, 1.0, 4), params, forward_eps)
+        with pytest.raises(ValueError, match=re.escape(
+                f"eps {backward_eps!r} differs from the cached forward's eps "
+                f"{forward_eps!r}")):
+            backward(cache, np.ones(6), params, backward_eps)
 
     def test_gradient_sign_structure(self, rng):
         # positive bands, positive upstream: alpha pushes up, beta down

@@ -589,10 +589,10 @@ class TestTraining:
     @pytest.mark.parametrize("arch", net.ARCHITECTURES)
     def test_one_epoch_transforms_once_per_step_and_block(self, arch,
                                                           monkeypatch):
-        # the forward core applies softplus to the alpha|beta block of the
-        # vector once per call (3 steps of 32, 32 and 6 rows and a
-        # validation pass of two scoring blocks); the backward takes the
-        # sigmoids from that softplus, so no sigmoid reads the vector
+        # the pairwise forward core applies softplus to the alpha|beta
+        # block of the vector once per call (3 steps of 32, 32 and 6 rows
+        # and a validation pass of two scoring blocks); the backward takes
+        # the sigmoids from that softplus, so no sigmoid reads the vector
         rng = np.random.default_rng(3)
         X = rng.uniform(0.01, 1.0, size=(70 + block_rows(10) + 10, 10))
         y = rng.integers(0, 2, size=len(X))
@@ -605,7 +605,8 @@ class TestTraining:
                 return real(x)
             return transform
 
-        monkeypatch.setattr(net, "softplus", counting("softplus", net.softplus))
+        monkeypatch.setattr(ndlayer, "softplus",
+                            counting("softplus", ndlayer.softplus))
         sigmoid = counting("sigmoid", ndmath.sigmoid)
         for module in (net, ndlayer, ndmath):
             monkeypatch.setattr(module, "sigmoid", sigmoid, raising=False)
@@ -800,28 +801,63 @@ class TestTrainingCore:
         assert d_bands.shape == (6,)
 
     @pytest.mark.parametrize("arch", ["nd", "attnd"])
-    def test_backward_sigmoids_within_ulps_of_sigmoid(self, arch, rng,
+    def test_backward_sigmoids_within_ulps_of_sigmoid(self, arch,
                                                       monkeypatch):
-        # _model_backward takes sigmoid(alpha|beta) from the forward's cached
-        # softplus as -expm1(-softplus): within 4 ulps of ndmath.sigmoid
-        # over alpha and beta in [-40, 40]
-        model = build_model(arch, 2, 10, seed=1)
+        # the pairwise backward takes sigmoid(alpha|beta) from the forward's
+        # cached softplus as -expm1(-softplus): within 4 ulps of
+        # ndmath.sigmoid over alpha and beta in [-40, 40]. One-hot rows and
+        # the upstream delta = B^2 make R = 1 and the three sums S_x = 0 and
+        # S_i = S_j = 1, so with a power-of-two eps the core's gradients are
+        # exactly sigmoid(alpha)*eps and -sigmoid(beta)*eps.
+        eps = 2.0 ** -20
+        model = build_model(arch, 2, 10, seed=1, eps=eps)
         n = model.nd_params.n_pairs
         model.vector[:2 * n] = np.linspace(-40.0, 40.0, 2 * n)
         seen = []
 
-        def spy(cache, delta, sig_a, sig_b, *args, **kwargs):
-            seen.append(np.concatenate([sig_a, sig_b]))
-            return ndlayer._backward(cache, delta, sig_a, sig_b, *args, **kwargs)
+        def spy(cache, delta, signed, d_alpha, d_beta, *args):
+            result = ndlayer._backward(cache, np.square(cache.denom), signed,
+                                       d_alpha, d_beta, *args)
+            seen.append(np.concatenate([d_alpha, -d_beta]) / eps)
+            return result
 
         monkeypatch.setattr(net, "_backward", spy)
-        _, cache = net._model_forward(model, rng.uniform(0.01, 1.0, (32, 10)))
-        net._model_backward(model, cache, rng.normal(size=32),
+        _, cache = net._model_forward(model, np.eye(10))
+        net._model_backward(model, cache, np.ones(10),
                             model.views(np.empty_like(model.vector)),
                             need_input=False)
         want = ndmath.sigmoid(model.vector[:2 * n])
         assert len(seen) == 1
         assert (np.abs(seen[0] - want) <= 4 * np.spacing(want)).all()
+
+    @pytest.mark.parametrize("arch", ["nd", "attnd"])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_public_layer_backward_matches_model_core(self, arch, signed,
+                                                      monkeypatch):
+        # one sigmoid rule: for the same alpha|beta block, batch and
+        # upstream, the public layer and the model core give the same
+        # coefficient gradients, bit for bit
+        rng = np.random.default_rng(19)
+        model = build_model(arch, 3, 10, seed=2)
+        n = model.nd_params.n_pairs
+        model.vector[:2 * n] = rng.uniform(-4.0, 4.0, 2 * n)
+        X = rng.uniform(-1.0 if signed else 0.0, 1.0, (20, 10))
+        upstream = []
+
+        def spy(cache, delta, *args):
+            upstream.append(delta)
+            return ndlayer._backward(cache, delta, *args)
+
+        monkeypatch.setattr(net, "_backward", spy)
+        _, cache = net._model_forward(model, X, signed)
+        grads = model.views(np.empty_like(model.vector))
+        net._model_backward(model, cache, rng.normal(size=20), grads)
+        forward, backward = ((ndlayer.nd_forward_signed, ndlayer.nd_backward_signed)
+                             if signed else (nd_forward, ndlayer.nd_backward))
+        _, layer_cache = forward(X, model.nd_params, model.eps)
+        g = backward(layer_cache, upstream[0], model.nd_params, model.eps)
+        assert np.array_equal(g.d_alpha, grads[0])
+        assert np.array_equal(g.d_beta, grads[1])
 
     def test_public_backward_rejects_wrong_upstream_length(self, rng):
         model = build_model("nd", 2, 4, seed=0)
