@@ -11,7 +11,7 @@ and backwards (``model_forward``/``model_backward``, ``nd_forward*``/
 checked coordinates are stacked on a new leading axis, in blocks of at
 most ``network._BLOCK_ELEMENTS`` floats per stacked array, and each block
 is scored by one call through the private cores (``ndlayer._forward``,
-``ndlayer._gate``, ``network._dense_forward``), which broadcast over that
+``network._gate``, ``network._dense_forward``), which broadcast over that
 axis. A bare-layer block, of the raw alpha|beta coefficients or of the
 input row, is one ``_forward`` call, which applies softplus to the block
 itself. A whole-model block replays only the stages downstream of the
@@ -47,7 +47,6 @@ from .ndlayer import (
     NdParams,
     _check_eps,
     _forward,
-    _gate,
     _pair_indexer,
     nd_backward,
     nd_backward_signed,
@@ -439,12 +438,13 @@ def _stacked_logits(model, row, probe, name, stack):
     layers = model.layers
     if stage == "nd":
         x, _ = _forward(row, stack[:, None], model.eps, model.indexer, False)
-        if model.attn_weights is not None:
-            x, _ = _gate(row, model.attn_weights, model.attn_bias, x)
+        if model.attn_layer is not None:
+            x, _ = net._gate(model.attn_layer, row, x)
     elif stage == "attn":
         W, c = ((stack, model.attn_bias) if part == "weights"
                 else (model.attn_weights, stack[:, None]))
-        x, _ = _gate(row, W, c, probe.gate.nd_outputs)
+        rows = np.broadcast_to(row, (len(stack),) + row.shape)
+        x, _ = net._gate(net.DenseLayer(W, c, "identity"), rows, probe.gate[2])
     else:
         k = int(stage[len("dense"):])
         layer = model.layers[k]

@@ -51,16 +51,15 @@ with a scatter-add; the sums are the same up to rounding order.
 The math lives in private cores (``_forward``, ``_backward``) that take
 2-d arrays and output arrays and check nothing; the public functions
 validate, then call them, and the public backwards reject ``params`` of
-another pair count or an eps other than the cached forward's. The cores
-own both coefficient transforms: ``_forward`` applies softplus once to
-the raw alpha|beta block and caches it with eps, and ``_backward`` takes
-the sigmoids from that cache as -expm1(-softplus), sigmoid to a few ulps
+another pair count, other alpha|beta values or an eps other than the
+cached forward's. The cores own both coefficient transforms: ``_forward``
+applies softplus once to the raw alpha|beta block and caches the block,
+its softplus and eps, and ``_backward`` takes the sigmoids from that cache
+as -expm1(-softplus), sigmoid to a few ulps
 (1 - exp(-log(1 + e^x)) = e^x / (1 + e^x)), so the public layer, the model
 cores and the gradient checks share one coefficient rule. The forward
 gathers each pair's two bands in C order (``take`` along the last axis,
-whatever the batch rank) and caches them and the denominator B. The
-``attnd`` model's attention gate has private cores only (``_gate``,
-``_gate_backward``).
+whatever the batch rank) and caches them and the denominator B.
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ __all__ = [
     "NdParams",
     "NdCache",
     "NdGradients",
-    "AttentionCache",
     "pair_count",
     "nd_forward",
     "nd_backward",
@@ -163,14 +161,13 @@ class NdParams:
 
 @dataclass
 class NdCache:
-    """Forward quantities needed by every backward variant: the softplus of
-    the alpha|beta block, the forward's eps and three C-ordered
+    """Forward quantities needed by every backward variant: the alpha|beta
+    block and its softplus, the forward's eps and three C-ordered
     (batch, n_pairs) arrays. The signed backward recomputes the numerator
     sa*b_i - sb*b_j from them; no backward reads the output N."""
 
-    coeffs: np.ndarray  # (2 * n_pairs,), softplus of the alpha|beta block
-    sigma_alpha: np.ndarray  # its first half, softplus(alpha)
-    sigma_beta: np.ndarray  # its second half, softplus(beta)
+    block: np.ndarray  # (2 * n_pairs,), the forward's raw alpha|beta block
+    coeffs: np.ndarray  # its softplus, sa (first half) then sb
     b_i: np.ndarray  # (batch, n_pairs), each pair's first band
     b_j: np.ndarray  # (batch, n_pairs), each pair's second band
     denom: np.ndarray  # (batch, n_pairs)
@@ -187,14 +184,6 @@ class NdGradients:
     d_alpha: np.ndarray  # (n_pairs,)
     d_beta: np.ndarray  # (n_pairs,)
     d_input: np.ndarray  # same shape as the forward input
-
-
-@dataclass
-class AttentionCache:
-    bands: np.ndarray
-    weights: np.ndarray
-    gate: np.ndarray  # sigmoid(W b + c)
-    nd_outputs: np.ndarray
 
 
 def _as_batch(x, name="input"):
@@ -236,10 +225,11 @@ def _forward(batch, block, eps, idx: PairIndexer, signed: bool):
 
     ``block`` is the raw alpha|beta block, alpha's n_pairs values then
     beta's. One ``softplus`` call turns it into sa|sb, which the cache
-    keeps, with ``eps``, for ``_backward``. With m the identity the
-    denominator reuses the numerator's two products. The sums and the
-    quotient update their first operand in place, which keeps the peak
-    memory of a large batch down and gives the same values.
+    keeps, with the block itself (not a copy) and ``eps``, for
+    ``_backward``. With m the identity the denominator reuses the
+    numerator's two products. The sums and the quotient update their first
+    operand in place, which keeps the peak memory of a large batch down
+    and gives the same values.
 
     Gradient checks pass an (S, 1, n) stack of one-row batches, or an
     (S, 1, 2 * n_pairs) stack of blocks. Every batch is gathered in C
@@ -264,7 +254,7 @@ def _forward(batch, block, eps, idx: PairIndexer, signed: bool):
     denom += eps
     out -= sb_bj
     out /= denom
-    return out, NdCache(coeffs, sa, sb, b_i, b_j, denom, idx, eps)
+    return out, NdCache(block, coeffs, b_i, b_j, denom, idx, eps)
 
 
 def _backward(cache: NdCache, delta, signed: bool, d_alpha, d_beta,
@@ -275,9 +265,10 @@ def _backward(cache: NdCache, delta, signed: bool, d_alpha, d_beta,
     are written into ``d_alpha`` and ``d_beta``; returns the input
     gradient, or None when ``need_input`` is false. Nothing is checked.
     """
-    sa, sb = cache.sigma_alpha, cache.sigma_beta
-    b_i, b_j = cache.b_i, cache.b_j
     B, eps, idx = cache.denom, cache.eps, cache.indexer
+    n = idx.n_pairs
+    sa, sb = cache.coeffs[:n], cache.coeffs[n:]
+    b_i, b_j = cache.b_i, cache.b_j
     m_i, m_j = ((_smooth_abs(b_i, eps), _smooth_abs(b_j, eps)) if signed
                 else (b_i, b_j))
     # The three batch sums of the module docstring, with R = delta/B^2.
@@ -295,7 +286,6 @@ def _backward(cache: NdCache, delta, signed: bool, d_alpha, d_beta,
     if not signed:  # m_i*b_j = b_i*m_j, so the second product is the first
         s_x *= 2.0
     neg_sig = np.expm1(-cache.coeffs)  # -sigmoid(alpha|beta)
-    n = idx.n_pairs
     np.multiply(sb, s_x, out=d_alpha)
     d_alpha += eps * s_i
     d_alpha *= neg_sig[:n]
@@ -348,6 +338,8 @@ def _checked_backward(cache: NdCache, upstream, params: NdParams, eps,
     if params.n_pairs != n_pairs:
         raise ValueError(f"params carry {params.n_pairs} pairs but the cached "
                          f"forward has {n_pairs}")
+    if not np.array_equal(np.concatenate((params.alpha, params.beta)), cache.block):
+        raise ValueError("params alpha/beta differ from the cached forward's")
     if eps != cache.eps:
         raise ValueError(f"eps {eps!r} differs from the cached forward's eps "
                          f"{cache.eps!r}")
@@ -381,7 +373,8 @@ def nd_backward(cache: NdCache, upstream, params: NdParams,
 
     ``upstream`` is dLoss/dN per pair, shaped like the forward output.
     The gradients are taken at the coefficients the forward cached;
-    ``params`` of another pair count or another eps raise a ValueError.
+    ``params`` of another pair count or other values, or another eps,
+    raise a ValueError.
     Coefficient gradients are summed over the batch axis; each band's
     input gradient accumulates the contributions of all n-1 pairs.
     """
@@ -430,28 +423,3 @@ def nd_backward_softplus(cache: NdCache, upstream, params: NdParams,
     grads.d_input = grads.d_input * sigmoid(cache.raw)
     return grads
 
-
-def _gate(batch, W, c, outputs):
-    """Pair outputs scaled by gates sigmoid(W @ b + c); nothing is checked.
-
-    ``W`` is (n_pairs, n_bands) and ``c`` (n_pairs,). Gates lie in (0, 1),
-    so gated outputs keep the [-1, 1] bound of their inputs. Gradient
-    checks pass (S, ...) stacks, as for ``_forward``, with a stacked ``W``
-    or ``c``.
-    """
-    gate = sigmoid(batch @ W.swapaxes(-1, -2) + c)
-    return gate * outputs, AttentionCache(batch, W, gate, outputs)
-
-
-def _gate_backward(cache: AttentionCache, delta, d_weights, d_bias,
-                   need_bands: bool = True):
-    """Gradients of ``_gate`` for a 2-d ``delta``; nothing is checked.
-
-    Writes the weight and bias gradients into ``d_weights`` and ``d_bias``
-    and returns (d_nd_outputs, d_bands), d_bands None unless ``need_bands``.
-    """
-    d_nd = delta * cache.gate
-    d_pre = delta * cache.nd_outputs * cache.gate * (1.0 - cache.gate)
-    np.matmul(d_pre.T, cache.bands, out=d_weights)
-    np.add.reduce(d_pre, axis=0, out=d_bias)
-    return d_nd, (d_pre @ cache.weights if need_bands else None)

@@ -29,14 +29,16 @@ The training loop is deterministic given TrainConfig.seed.
 
 Each formula lives in one private core that checks nothing
 (``_model_forward``/``_model_backward``, ``_dense_forward``/
-``_dense_backward`` here, ``_forward``/``_backward`` and ``_gate``/
-``_gate_backward`` in ndlayer). A ``Model`` checks its layout and vector
-when it is built, and ``_check_input`` decides which bands it accepts, for
-``model_forward`` and ``train`` alike. ``_model_forward`` hands the raw
-alpha|beta block of the vector to ``ndlayer._forward``, which owns the
-softplus/sigmoid transforms. ``train()`` validates its sets once and then
-runs the cores directly: per step it writes every gradient into one
-preallocated vector and skips the input gradient nobody reads.
+``_dense_backward`` and ``_gate``/``_gate_backward`` here, ``_forward``/
+``_backward`` in ndlayer). The attention gate's affine map is the dense
+layer ``Model.attn_layer``, run by the dense cores. A ``Model`` checks its
+layout and vector when it is built, and ``_check_input`` decides which
+bands it accepts, for ``model_forward`` and ``train`` alike.
+``_model_forward`` hands the raw alpha|beta block of the vector to
+``ndlayer._forward``, which owns the softplus/sigmoid transforms.
+``train()`` validates its sets once and then runs the cores directly: per
+step it writes every gradient into one preallocated vector and skips the
+input gradient nobody reads.
 
 Scoring keeps no per-pair array: ``model_forward`` and ``train()``'s
 validation pass run ``_model_forward`` over fixed row blocks
@@ -68,12 +70,10 @@ from .ndlayer import (
     _check_bands,
     _check_eps,
     _forward,
-    _gate,
-    _gate_backward,
     _pair_indexer,
     pair_count,
 )
-from .ndmath import softplus
+from .ndmath import sigmoid, softplus
 
 ARCHITECTURES = ("nd", "mlp", "attnd")
 DEPTHS = (2, 3, 4)
@@ -154,6 +154,32 @@ def _dense_backward(layer: DenseLayer, cache: DenseCache, delta, d_weights,
     np.matmul(delta.T, cache.inputs, out=d_weights)
     np.add.reduce(delta, axis=0, out=d_bias)
     return delta @ layer.weights if need_input else None
+
+
+def _gate(layer: DenseLayer, batch, outputs):
+    """Pair outputs scaled by gates sigmoid(W @ b + c); nothing is checked.
+
+    ``layer`` is the gate's identity dense layer, W (n_pairs, n_bands) and
+    c (n_pairs,). Gates lie in (0, 1), so gated outputs keep the [-1, 1]
+    bound of their inputs. Gradient checks pass stacks, as for
+    ``_dense_forward``. The cache is (the DenseCache, the gates, outputs).
+    """
+    pre, affine = _dense_forward(layer, batch)
+    gate = sigmoid(pre)
+    return gate * outputs, (affine, gate, outputs)
+
+
+def _gate_backward(layer: DenseLayer, cache, delta, d_weights, d_bias,
+                   need_bands: bool = True):
+    """Gradients of ``_gate`` for a 2-d ``delta``; nothing is checked.
+
+    Writes the weight and bias gradients into ``d_weights`` and ``d_bias``
+    and returns (d_outputs, d_bands), d_bands None unless ``need_bands``.
+    """
+    affine, gate, outputs = cache
+    d_pre = delta * outputs * gate * (1.0 - gate)
+    return delta * gate, _dense_backward(layer, affine, d_pre, d_weights,
+                                         d_bias, need_bands)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +291,8 @@ class Model:
     The constructor copies ``vector`` and rejects it unless every value is
     finite; ``nd_params``, ``attn_weights``, ``attn_bias`` and ``layers``
     (the dense hidden stack, ending with the 1-logit head) are views of the
-    copy, laid out by ``_layout``. Models compare by identity.
+    copy, laid out by ``_layout``; ``attn_layer`` is the gate's identity
+    ``DenseLayer`` on the attn views. Models compare by identity.
     """
 
     arch: str
@@ -276,6 +303,7 @@ class Model:
     nd_params: NdParams | None = field(init=False, repr=False)
     attn_weights: np.ndarray | None = field(init=False, repr=False)
     attn_bias: np.ndarray | None = field(init=False, repr=False)
+    attn_layer: DenseLayer | None = field(init=False, repr=False)
     layers: list = field(init=False, repr=False)
     indexer: PairIndexer = field(init=False, repr=False)
 
@@ -300,6 +328,8 @@ class Model:
             self.nd_params = NdParams(named["nd.alpha"], named["nd.beta"])
         self.attn_weights = named.get("attn.weights")
         self.attn_bias = named.get("attn.bias")
+        self.attn_layer = (None if self.attn_weights is None else DenseLayer(
+            self.attn_weights, self.attn_bias, "identity"))
         self.layers = [DenseLayer(named[f"dense{k}.weights"],
                                   named[f"dense{k}.bias"], activation)
                        for k, activation in enumerate(activations)]
@@ -414,7 +444,7 @@ class ModelCache:
     """What ``_model_backward`` reads: every intermediate of one forward."""
 
     first: object  # NdCache for nd archs, else None
-    gate: object  # AttentionCache for attnd, else None
+    gate: object  # (DenseCache, gates, pair outputs) for attnd, else None
     dense: list  # DenseCache per dense layer
     signed: bool
 
@@ -457,8 +487,8 @@ def _model_forward(model: Model, batch, signed: bool = False):
     if model.nd_params is not None:
         x, first = _forward(batch, model.vector[:2 * model.nd_params.n_pairs],
                             model.eps, model.indexer, signed)
-        if model.attn_weights is not None:
-            x, gate = _gate(batch, model.attn_weights, model.attn_bias, x)
+        if model.attn_layer is not None:
+            x, gate = _gate(model.attn_layer, batch, x)
     dense = []
     for layer in model.layers:
         x, cache = _dense_forward(layer, x)
@@ -499,9 +529,9 @@ def _model_backward(model: Model, cache: ModelCache, d_logit, grads,
     if model.nd_params is None:
         return delta
     gate_bands = None
-    if model.attn_weights is not None:
-        delta, gate_bands = _gate_backward(cache.gate, delta, grads[2],
-                                           grads[3], need_input)
+    if model.attn_layer is not None:
+        delta, gate_bands = _gate_backward(model.attn_layer, cache.gate, delta,
+                                           grads[2], grads[3], need_input)
     d_bands = _backward(cache.first, delta, cache.signed, grads[0], grads[1],
                         need_input)
     if gate_bands is not None:

@@ -88,6 +88,16 @@ class TestSynthCommand:
         assert counts["0"] + counts["1"] == 101
         assert abs(counts["0"] - counts["1"]) <= 1
 
+    def test_spec_that_is_a_json_list_is_one_error_line(self, tmp_path,
+                                                         capsys):
+        spec = tmp_path / "list.json"
+        spec.write_text("[1, 2, 3]")
+        rc = main(["synth", "--synth", str(spec), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: DataFormatError: synthetic spec must be a JSON object"]
+        assert not (tmp_path / "o").exists()
+
     def test_missing_spec_file_errors(self, tmp_path, capsys):
         rc = main(["synth", "--synth", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o")])
@@ -405,6 +415,16 @@ class TestNoiseCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_empty_etas_list_is_one_error_line(self, crossval_run, tmp_path,
+                                               capsys):
+        _, spec, run_dir = crossval_run
+        ckpt = os.path.join(run_dir, "checkpoints", "fold_0.json")
+        rc = main(["noise", ckpt, "--synth", str(spec), "--etas", ",",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ValueError: --etas list is empty"]
+
 
 class TestSeedRule:
     """A negative seed is one error line naming the seed, for every command
@@ -433,6 +453,14 @@ class TestSeedRule:
 
 
 class TestCoeffsCommand:
+    def test_missing_checkpoint_is_one_error_line(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        rc = main(["coeffs", str(missing), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ValueError: missing checkpoint {missing}"]
+        assert not (tmp_path / "o").exists()
+
     def test_untrained_checkpoint_all_ratios_one(self, tmp_path):
         model = build_model("nd", 2, 10, seed=0)
         ckpt = tmp_path / "fresh.json"

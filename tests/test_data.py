@@ -196,6 +196,11 @@ class TestDatasetContainer:
         with pytest.raises(ValueError):
             Dataset(["a", "b"], np.ones((2, 3)), np.array([0, 1]))
 
+    @pytest.mark.parametrize("labels", [[0, 1, 0], [0], [[0, 1]]])
+    def test_labels_one_per_row_enforced(self, labels):
+        with pytest.raises(ValueError, match="^labels must be one per row$"):
+            Dataset(["a"], np.ones((2, 1)), labels)
+
     def test_finite_values_enforced(self):
         with pytest.raises(ValueError, match="finite"):
             Dataset(["a"], np.array([[np.inf]]), np.array([1]))

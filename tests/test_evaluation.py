@@ -634,7 +634,7 @@ class TestStackedGradcheck:
                 return result
             monkeypatch.setattr(module, name, wrapper)
 
-        for module, name in ((evaluation, "_stacked_logits"), (evaluation, "_gate"),
+        for module, name in ((evaluation, "_stacked_logits"),
                              (evaluation, "_forward"), (evaluation, "softplus"),
                              (network, "_gate"), (network, "_forward"),
                              (network, "_dense_forward"), (network, "softplus")):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -9,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from ndnet.ndlayer import (
     NdParams,
     PairIndexer,
-    _gate,
-    _gate_backward,
     nd_backward,
     nd_backward_signed,
     nd_backward_softplus,
@@ -21,7 +18,6 @@ from ndnet.ndlayer import (
     _pair_indexer,
 )
 from ndnet.ndmath import sigmoid, softplus
-from ndnet.network import build_model
 
 LN2 = math.log(2.0)
 
@@ -205,17 +201,44 @@ class TestNdForward:
         with pytest.raises(ValueError, match="non-finite"):
             forward([value, 0.5], NdParams.zeros(1))
 
+    def test_params_of_another_pair_count_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "params carry 6 pairs but input implies 3")):
+            nd_forward([0.1, 0.2, 0.3], NdParams.zeros(6))
+
+    def test_three_dimensional_bands_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "bands must be 1-d or 2-d, got shape (2, 1, 2)")):
+            nd_forward(np.full((2, 1, 2), 0.5), NdParams.zeros(1))
+
+    @pytest.mark.parametrize("alpha, beta, shapes", [
+        (np.zeros(3), np.zeros(2), "(3,) and (2,)"),
+        (np.zeros((1, 3)), np.zeros((1, 3)), "(1, 3) and (1, 3)"),
+    ])
+    def test_params_must_be_matching_vectors(self, alpha, beta, shapes):
+        with pytest.raises(ValueError, match=re.escape(
+                f"alpha/beta must be matching 1-d arrays, got {shapes}")):
+            NdParams(alpha, beta)
+
+    @pytest.mark.parametrize("side", ["alpha", "beta"])
+    def test_params_must_be_finite(self, side):
+        arrays = {"alpha": np.zeros(3), "beta": np.zeros(3)}
+        arrays[side][1] = np.nan
+        with pytest.raises(ValueError, match="alpha/beta must be finite"):
+            NdParams(**arrays)
+
     def test_cache_matches_definitions(self, rng):
         bands = rng.uniform(0.01, 1.0, size=4)
         params = NdParams(rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 6))
         eps = 1e-8
         _, cache = nd_forward(bands, params, eps)
         idx = cache.indexer
-        assert np.array_equal(cache.sigma_alpha, softplus(params.alpha))
+        sa, sb = cache.coeffs[:idx.n_pairs], cache.coeffs[idx.n_pairs:]
+        assert np.array_equal(sa, softplus(params.alpha))
         assert np.array_equal(cache.b_i[0], bands[idx.i_idx])
         np.testing.assert_allclose(
             cache.denom[0],
-            cache.sigma_alpha * cache.b_i[0] + cache.sigma_beta * cache.b_j[0] + eps,
+            sa * cache.b_i[0] + sb * cache.b_j[0] + eps,
             rtol=0, atol=0)
 
     def test_proof_identities(self, rng):
@@ -226,10 +249,11 @@ class TestNdForward:
             params = NdParams(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3))
             eps = 1e-8
             _, cache = nd_forward(bands, params, eps)
-            A = cache.sigma_alpha * cache.b_i - cache.sigma_beta * cache.b_j
+            sa, sb = cache.coeffs[:3], cache.coeffs[3:]
+            A = sa * cache.b_i - sb * cache.b_j
             B = cache.denom
-            assert np.max(np.abs((B - A) - (2 * cache.sigma_beta * cache.b_j + eps))) < 1e-12
-            assert np.max(np.abs((B + A) - (2 * cache.sigma_alpha * cache.b_i + eps))) < 1e-12
+            assert np.max(np.abs((B - A) - (2 * sb * cache.b_j + eps))) < 1e-12
+            assert np.max(np.abs((B + A) - (2 * sa * cache.b_i + eps))) < 1e-12
 
 
 class TestNdBackward:
@@ -380,6 +404,23 @@ class TestNdBackward:
                 f"eps {backward_eps!r} differs from the cached forward's eps "
                 f"{forward_eps!r}")):
             backward(cache, np.ones(6), params, backward_eps)
+
+    @pytest.mark.parametrize("variant", ["plain", "signed", "softplus"])
+    @pytest.mark.parametrize("which", ["alpha", "beta"])
+    def test_backward_rejects_other_coefficient_values(self, variant, which,
+                                                       rng):
+        # the backward once took the cached forward's coefficients whatever
+        # params held: a forward at alpha = beta = 0 and params (3, -2) gave
+        # the forward's d_alpha 0.2004, not the true 0.0051
+        forward, backward = TestIncidenceScatter.VARIANTS[variant]
+        params = NdParams(rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 6))
+        _, cache = forward(rng.uniform(0.01, 1.0, 4), params)
+        backward(cache, np.ones(6), params.copy())  # equal values pass
+        other = params.copy()
+        getattr(other, which)[2] += 1.0
+        with pytest.raises(ValueError, match=re.escape(
+                "params alpha/beta differ from the cached forward's")):
+            backward(cache, np.ones(6), other)
 
     def test_gradient_sign_structure(self, rng):
         # positive bands, positive upstream: alpha pushes up, beta down
@@ -547,94 +588,6 @@ class TestSoftplusVariant:
                         max_rel_err(g.d_alpha, fd_a),
                         max_rel_err(g.d_beta, fd_b),
                         max_rel_err(g.d_input, fd_x))
-        assert worst < 1e-5
-
-
-def attention_gate(bands, weights, bias, nd_outputs):
-    """The gate core on a batch or on one row; returns (gated, cache)."""
-    single = np.ndim(bands) == 1
-    gated, cache = _gate(np.atleast_2d(bands), weights, bias,
-                         np.atleast_2d(nd_outputs))
-    return (gated[0] if single else gated), cache
-
-
-class TestAttentionGate:
-    """The gate cores that the attnd model runs."""
-
-    def test_zero_weights_halve_outputs(self, rng):
-        bands = rng.uniform(0.01, 1, size=4)
-        nd_out, _ = nd_forward(bands, NdParams.zeros(6))
-        gated, _ = attention_gate(bands, np.zeros((6, 4)), np.zeros(6), nd_out)
-        np.testing.assert_allclose(gated, 0.5 * nd_out, rtol=0, atol=0)
-
-    def test_saturated_gate_is_identity(self, rng):
-        bands = rng.uniform(0.01, 1, size=4)
-        nd_out, _ = nd_forward(bands, NdParams.zeros(6))
-        gated, _ = attention_gate(bands, np.zeros((6, 4)), np.full(6, 40.0),
-                                  nd_out)
-        assert np.max(np.abs(gated - nd_out)) < 1e-15
-
-    def test_gated_outputs_stay_bounded(self, rng):
-        bands = rng.uniform(0.01, 1, size=(500, 4))
-        params = NdParams(rng.uniform(-3, 3, 6), rng.uniform(-3, 3, 6))
-        nd_out, _ = nd_forward(bands, params)
-        W = rng.normal(size=(6, 4))
-        c = rng.normal(size=6)
-        gated, _ = attention_gate(bands, W, c, nd_out)
-        assert (np.abs(gated) <= 1.0).all()
-
-    def test_dimension_mismatch_raises(self):
-        # the gate core checks nothing; the attnd model checks its vector:
-        # gate weights of (5, 4) or a bias of 5 leave it 4 or 1 values short
-        model = build_model("attnd", 2, 4, seed=0)
-        for short in (4, 1):
-            with pytest.raises(ValueError, match="got a vector of shape"):
-                dataclasses.replace(model, vector=model.vector[short:])
-
-    def test_gradients_match_finite_differences(self, rng):
-        # objective: delta . (sigmoid(W b + c) * N(b)); checks W, c, bands,
-        # alpha and beta through the full composition
-        worst = 0.0
-        for _ in range(200):
-            n = int(rng.integers(2, 5))
-            idx = PairIndexer(n)
-            bands = rng.uniform(0.01, 1.0, size=n)
-            params = NdParams(rng.uniform(-2, 2, idx.n_pairs),
-                              rng.uniform(-2, 2, idx.n_pairs))
-            W = rng.uniform(-1, 1, size=(idx.n_pairs, n))
-            c = rng.uniform(-1, 1, size=idx.n_pairs)
-            delta = rng.uniform(-1, 1, size=idx.n_pairs)
-
-            def objective():
-                nd_out, _ = nd_forward(bands, params)
-                gated, _ = attention_gate(bands, W, c, nd_out)
-                return float(np.dot(delta, gated))
-
-            nd_out, nd_cache = nd_forward(bands, params)
-            gated, gate_cache = attention_gate(bands, W, c, nd_out)
-            d_weights, d_bias = np.empty(W.shape), np.empty(c.shape)
-            d_nd, d_bands = _gate_backward(gate_cache, delta[None, :],
-                                           d_weights, d_bias)
-            ndg = nd_backward(nd_cache, d_nd[0], params)
-            analytic = {
-                "W": d_weights, "c": d_bias,
-                "alpha": ndg.d_alpha, "beta": ndg.d_beta,
-                "bands": d_bands[0] + ndg.d_input,
-            }
-            arrays = {"W": W, "c": c, "alpha": params.alpha,
-                      "beta": params.beta, "bands": bands}
-            h = 1e-6
-            for key, array in arrays.items():
-                fd = np.zeros_like(array)
-                for k in range(array.size):
-                    orig = array.flat[k]
-                    array.flat[k] = orig + h
-                    f_plus = objective()
-                    array.flat[k] = orig - h
-                    f_minus = objective()
-                    array.flat[k] = orig
-                    fd.flat[k] = (f_plus - f_minus) / (2 * h)
-                worst = max(worst, max_rel_err(analytic[key], fd))
         assert worst < 1e-5
 
 

@@ -131,6 +131,102 @@ class TestDenseLayer:
             dataclasses.replace(mlp, vector=mlp.vector[6:])
 
 
+def max_rel_err(analytic, numeric, floor=1e-5):
+    analytic = np.asarray(analytic, dtype=float)
+    numeric = np.asarray(numeric, dtype=float)
+    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    return float(np.max(np.abs(analytic - numeric) / scale))
+
+
+def attention_gate(bands, weights, bias, nd_outputs):
+    """The gate core on a batch or on one row; returns (gated, cache)."""
+    single = np.ndim(bands) == 1
+    gated, cache = net._gate(DenseLayer(weights, bias, "identity"),
+                             np.atleast_2d(bands), np.atleast_2d(nd_outputs))
+    return (gated[0] if single else gated), cache
+
+
+class TestAttentionGate:
+    """The gate cores that the attnd model runs."""
+
+    def test_zero_weights_halve_outputs(self, rng):
+        bands = rng.uniform(0.01, 1, size=4)
+        nd_out, _ = nd_forward(bands, NdParams.zeros(6))
+        gated, _ = attention_gate(bands, np.zeros((6, 4)), np.zeros(6), nd_out)
+        np.testing.assert_allclose(gated, 0.5 * nd_out, rtol=0, atol=0)
+
+    def test_saturated_gate_is_identity(self, rng):
+        bands = rng.uniform(0.01, 1, size=4)
+        nd_out, _ = nd_forward(bands, NdParams.zeros(6))
+        gated, _ = attention_gate(bands, np.zeros((6, 4)), np.full(6, 40.0),
+                                  nd_out)
+        assert np.max(np.abs(gated - nd_out)) < 1e-15
+
+    def test_gated_outputs_stay_bounded(self, rng):
+        bands = rng.uniform(0.01, 1, size=(500, 4))
+        params = NdParams(rng.uniform(-3, 3, 6), rng.uniform(-3, 3, 6))
+        nd_out, _ = nd_forward(bands, params)
+        W = rng.normal(size=(6, 4))
+        c = rng.normal(size=6)
+        gated, _ = attention_gate(bands, W, c, nd_out)
+        assert (np.abs(gated) <= 1.0).all()
+
+    def test_dimension_mismatch_raises(self):
+        # the gate core checks nothing; the attnd model checks its vector:
+        # gate weights of (5, 4) or a bias of 5 leave it 4 or 1 values short
+        model = build_model("attnd", 2, 4, seed=0)
+        for short in (4, 1):
+            with pytest.raises(ValueError, match="got a vector of shape"):
+                dataclasses.replace(model, vector=model.vector[short:])
+
+    def test_gradients_match_finite_differences(self, rng):
+        # objective: delta . (sigmoid(W b + c) * N(b)); checks W, c, bands,
+        # alpha and beta through the full composition
+        worst = 0.0
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            idx = ndlayer.PairIndexer(n)
+            bands = rng.uniform(0.01, 1.0, size=n)
+            params = NdParams(rng.uniform(-2, 2, idx.n_pairs),
+                              rng.uniform(-2, 2, idx.n_pairs))
+            W = rng.uniform(-1, 1, size=(idx.n_pairs, n))
+            c = rng.uniform(-1, 1, size=idx.n_pairs)
+            delta = rng.uniform(-1, 1, size=idx.n_pairs)
+
+            def objective():
+                nd_out, _ = nd_forward(bands, params)
+                gated, _ = attention_gate(bands, W, c, nd_out)
+                return float(np.dot(delta, gated))
+
+            nd_out, nd_cache = nd_forward(bands, params)
+            gated, gate_cache = attention_gate(bands, W, c, nd_out)
+            d_weights, d_bias = np.empty(W.shape), np.empty(c.shape)
+            d_nd, d_bands = net._gate_backward(
+                DenseLayer(W, c, "identity"), gate_cache, delta[None, :],
+                d_weights, d_bias)
+            ndg = ndlayer.nd_backward(nd_cache, d_nd[0], params)
+            analytic = {
+                "W": d_weights, "c": d_bias,
+                "alpha": ndg.d_alpha, "beta": ndg.d_beta,
+                "bands": d_bands[0] + ndg.d_input,
+            }
+            arrays = {"W": W, "c": c, "alpha": params.alpha,
+                      "beta": params.beta, "bands": bands}
+            h = 1e-6
+            for key, array in arrays.items():
+                fd = np.zeros_like(array)
+                for k in range(array.size):
+                    orig = array.flat[k]
+                    array.flat[k] = orig + h
+                    f_plus = objective()
+                    array.flat[k] = orig - h
+                    f_minus = objective()
+                    array.flat[k] = orig
+                    fd.flat[k] = (f_plus - f_minus) / (2 * h)
+                worst = max(worst, max_rel_err(analytic[key], fd))
+        assert worst < 1e-5
+
+
 class TestBceWithLogits:
     def test_zero_logit_label_one(self):
         loss, grad = bce_with_logits(0.0, 1)
@@ -731,6 +827,33 @@ class TestParameterVector:
         assert np.array_equal(model.vector, before)
         model_forward(twin, rng.uniform(0.1, 1.0, 4))
 
+    @pytest.mark.parametrize("make", [
+        lambda m: m,
+        Model.copy,
+        lambda m: model_from_checkpoint_dict(json.loads(checkpoint_to_json(m))),
+    ], ids=["built", "copy", "checkpoint"])
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_gate_layer_reads_the_attn_views(self, make, depth, rng):
+        # bench/selftest.py rewrites attn_weights in place, so the gate's
+        # dense layer must hold those very arrays, not copies
+        model = make(build_model("attnd", depth, 5, seed=depth))
+        gate = model.attn_layer
+        assert gate.weights is model.attn_weights
+        assert gate.bias is model.attn_bias
+        assert gate.activation == "identity"
+        for array in (gate.weights, gate.bias):
+            assert np.shares_memory(array, model.vector)
+        bands = rng.uniform(0.05, 1.0, size=(8, 5))
+        logits = [model_forward(model, bands)[0]]
+        for array in (model.attn_weights, model.attn_bias):
+            array[:] = rng.uniform(-1, 1, array.shape)
+            logits.append(model_forward(model, bands)[0])
+            assert not np.array_equal(logits[-1], logits[-2])
+        _, cache = net._model_forward(model, bands)
+        np.testing.assert_array_equal(
+            cache.gate[1],
+            ndmath.sigmoid(bands @ model.attn_weights.T + model.attn_bias))
+
     def test_constructor_leaves_its_arguments_untouched(self):
         nd = build_model("nd", 3, 4, seed=3)
         other = Model(arch="nd", depth=3, band_names=nd.band_names,
@@ -1181,6 +1304,20 @@ class TestCheckpoints:
         doc["params"][name] = change(doc["params"][name])
         with pytest.raises(ValueError, match=rf"checkpoint parameter {name} "
                                              r"has shape \("):
+            model_from_checkpoint_dict(doc)
+
+    def test_missing_activations_rejected(self):
+        doc = json.loads(checkpoint_to_json(build_model("nd", 3, 4, seed=0)))
+        del doc["activations"]
+        with pytest.raises(ValueError,
+                           match=r"checkpoint lacks fields \['activations'\]"):
+            model_from_checkpoint_dict(doc)
+
+    def test_non_numeric_parameter_rejected(self):
+        doc = json.loads(checkpoint_to_json(build_model("nd", 3, 4, seed=0)))
+        doc["params"]["dense0.bias"] = ["a"] * 6
+        with pytest.raises(ValueError, match="checkpoint parameter dense0.bias "
+                                             "is not numeric"):
             model_from_checkpoint_dict(doc)
 
     def test_non_checkpoint_document_rejected(self, tmp_path):
