@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-8)
+    p.add_argument("--eps", type=float, default=net.DEFAULT_EPS)
     p.add_argument("--out", default="runs")
     p.set_defaults(handler=cmd_gradcheck)
 
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=net.ARCHITECTURES, default="nd")
     p.add_argument("--depth", type=int, choices=net.DEPTHS, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=1e-8)
+    p.add_argument("--eps", type=float, default=net.DEFAULT_EPS)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--wd", type=float, default=1e-4)
     p.add_argument("--batch", type=int, default=32)
@@ -337,7 +337,7 @@ def cmd_noise(args) -> int:
         else:
             key, fold = None, -1  # evaluated on the full dataset
             test_sets[key] = dataset
-        ev._check_bands(model, test_sets[key])
+        net._check_set(model, test_sets[key], True, "dataset")
         checkpoints.append((path, fold, model, test_sets[key]))
 
     swept = ev._sweep([ckpt[2] for ckpt in checkpoints],

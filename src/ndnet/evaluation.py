@@ -85,36 +85,23 @@ __all__ = [
 def accuracy(model: net.Model, dataset) -> float:
     """Fraction of samples whose thresholded logit matches the label.
 
-    sigmoid(logit) > 0.5 predicts class 1; the exact tie predicts class 0.
-    Rows containing a negative value (noise-perturbed inputs) are routed
-    through the signed-tolerant forward; the other rows keep the plain
-    forward, so a row's logit does not depend on which rows share its set.
+    ``dataset``, a Dataset or an (X, y) pair, is validated once by
+    ``network._check_set``, negatives allowed. sigmoid(logit) > 0.5
+    predicts class 1; the exact tie predicts class 0. Rows containing a
+    negative value (noise-perturbed inputs) are scored by the signed
+    forward, the other rows by the plain one, so a row's logit does not
+    depend on which rows share its set.
     """
-    if dataset.n_samples == 0:
-        raise ValueError("dataset is empty")
-    _check_bands(model, dataset)
-    negative = (dataset.X < 0).any(axis=1)
+    dataset = net._check_set(model, dataset, True, "dataset")
+    X = dataset.X
+    negative = (X < 0).any(axis=1)
     if negative.any():
         logits = np.empty(dataset.n_samples)
-        logits[~negative], _ = net.model_forward(model, dataset.X[~negative])
-        logits[negative], _ = net.model_forward(model, dataset.X[negative],
-                                                signed=True)
+        logits[~negative] = net._model_logits(model, X[~negative])
+        logits[negative] = net._model_logits(model, X[negative], signed=True)
     else:
-        logits, _ = net.model_forward(model, dataset.X)
+        logits = net._model_logits(model, X)
     return net.accuracy_from_logits(logits, dataset.y)
-
-
-def _check_bands(model: net.Model, dataset):
-    if dataset.n_bands != model.n_bands:
-        raise ValueError(
-            f"model expects {model.n_bands} bands, dataset has "
-            f"{dataset.n_bands}"
-        )
-    if list(dataset.band_names) != list(model.band_names):
-        raise ValueError(
-            f"band names disagree: model {model.band_names}, dataset "
-            f"{list(dataset.band_names)}"
-        )
 
 
 def efficiency(accuracy_pct: float, n_params: int) -> float:
@@ -197,17 +184,21 @@ class CoeffRatioMatrix:
 
 
 def coeff_ratios(model: net.Model) -> CoeffRatioMatrix:
-    """Ratio matrix of a model whose first layer is pairwise-normalized."""
+    """Ratio matrix of a model whose first layer is pairwise-normalized; a
+    ratio or reciprocal that over- or underflows is a ValueError."""
     if model.nd_params is None:
         raise ValueError(
             f"architecture {model.arch!r} has no coupling coefficients"
         )
+    with np.errstate(all="ignore"):  # checked below
+        ratios = softplus(model.nd_params.alpha) / softplus(model.nd_params.beta)
+        inverse = 1.0 / ratios
+    if not (np.isfinite(ratios).all() and np.isfinite(inverse).all()):
+        raise ValueError("a coupling coefficient ratio is 0 or not finite")
     indexer = model.indexer
-    ratios = softplus(model.nd_params.alpha) / softplus(model.nd_params.beta)
-    n = model.n_bands
-    matrix = np.ones((n, n))
+    matrix = np.ones((model.n_bands, model.n_bands))
     matrix[indexer.i_idx, indexer.j_idx] = ratios
-    matrix[indexer.j_idx, indexer.i_idx] = 1.0 / ratios
+    matrix[indexer.j_idx, indexer.i_idx] = inverse
     return CoeffRatioMatrix(list(model.band_names), matrix)
 
 
@@ -398,13 +389,13 @@ def _gradcheck_model(arch, depth, trials, seed, eps, max_coords):
     return worst
 
 
-def _stacked_diffs(score, base, coords, n_bands, h=FD_STEP):
+def _stacked_diffs(score, base, coords, n_bands):
     """Central differences of ``score`` in the flat ``coords`` of ``base``.
 
     ``score`` maps a stack of S copies of ``base``, shaped
-    ``(S,) + base.shape``, to S values. The fl(x + h) copies of a block of
-    coordinates and then their fl(x - h) copies are stacked and scored by
-    one ``score`` call. A block holds at most
+    ``(S,) + base.shape``, to S values. With h = FD_STEP, the fl(x + h)
+    copies of a block of coordinates and then their fl(x - h) copies are
+    stacked and scored by one ``score`` call. A block holds at most
     ``net._block_rows(n_bands, base.size)`` copies, and at least one pair.
     """
     per_block = max(1, net._block_rows(n_bands, base.size) // 2)
@@ -415,9 +406,9 @@ def _stacked_diffs(score, base, coords, n_bands, h=FD_STEP):
         stack = np.repeat(base[None], 2 * m, axis=0)
         orig = base.flat[ks]
         stack.reshape(2 * m, -1)[np.arange(2 * m), np.tile(ks, 2)] = np.concatenate(
-            (orig + h, orig - h))
+            (orig + FD_STEP, orig - FD_STEP))
         values = score(stack)
-        numeric[start:start + m] = (values[:m] - values[m:]) / (2.0 * h)
+        numeric[start:start + m] = (values[:m] - values[m:]) / (2.0 * FD_STEP)
     return numeric
 
 
@@ -459,7 +450,7 @@ def _stacked_logits(model, row, probe, name, stack):
 
 
 def gradcheck(target: str, depth: int = 3, trials: int = 100,
-              tolerance: float = 1e-5, seed: int = 0, eps: float = 1e-8,
+              tolerance: float = 1e-5, seed: int = 0, eps: float = net.DEFAULT_EPS,
               max_coords: int | None = 40) -> GradcheckReport:
     """Compare analytic gradients with central finite differences.
 

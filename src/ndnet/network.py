@@ -32,22 +32,22 @@ Each formula lives in one private core that checks nothing
 ``_dense_backward`` and ``_gate``/``_gate_backward`` here, ``_forward``/
 ``_backward`` in ndlayer). The attention gate's affine map is the dense
 layer ``Model.attn_layer``, run by the dense cores. A ``Model`` checks its
-layout and vector when it is built, and ``_check_input`` decides which
-bands it accepts, for ``model_forward`` and ``train`` alike.
+layout and vector when it is built, ``_check_input`` decides which bands
+it accepts and ``_check_set`` which labelled sets (``train``, ``accuracy``).
 ``_model_forward`` hands the raw alpha|beta block of the vector to
 ``ndlayer._forward``, which owns the softplus/sigmoid transforms.
 ``train()`` validates its sets once and then runs the cores directly: per
 step it writes every gradient into one preallocated vector and skips the
 input gradient nobody reads.
 
-Scoring keeps no per-pair array: ``model_forward`` and ``train()``'s
-validation pass run ``_model_forward`` over fixed row blocks
-(``_model_logits``, about ``_BLOCK_ELEMENTS`` floats per block array) and
-drop each block's intermediates, so memory is O(block x pairs) however many
-rows are scored. The cache ``model_forward`` returns holds only the
-validated batch, not a copy; ``model_backward`` replays the forward on it
-with the model's current parameters, so neither the bands nor the
-parameters may change between the two calls.
+Scoring keeps no per-pair array: ``model_forward``, ``train()``'s
+validation pass and ``evaluation.accuracy`` run ``_model_forward`` over
+fixed row blocks (``_model_logits``, about ``_BLOCK_ELEMENTS`` floats per
+block array) and drop each block's intermediates, so memory is O(block x
+pairs) however many rows are scored. The cache ``model_forward`` returns
+holds only the validated batch, not a copy; ``model_backward`` replays the
+forward on it with the model's current parameters, so neither the bands
+nor the parameters may change between the two calls.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import _check_seed, _is_int
+from .data import Dataset, _check_seed, _is_int
 from .ndlayer import (
     DEFAULT_EPS,
     NdParams,
@@ -548,6 +548,26 @@ def _check_input(model: Model, X, signed: bool, name: str):
     _check_bands(X, signed or model.nd_params is None, name)
 
 
+def _check_set(model: Model, dataset, signed: bool, name: str) -> Dataset:
+    """The one rule for the labelled sets a model trains and scores on: a
+    ``data.Dataset`` of the model's band names or an (X, y) pair, X passing
+    ``_check_input``, rebuilt as a Dataset on those names (which checks the
+    labels, of a Dataset too) and non-empty."""
+    if isinstance(dataset, Dataset):
+        X, y, names = dataset.X, dataset.y, dataset.band_names
+    else:
+        (X, y), names = dataset, model.band_names
+    X = np.asarray(X, dtype=np.float64)
+    _check_input(model, X, signed, name)
+    if list(names) != list(model.band_names):
+        raise ValueError(f"band names disagree: model {model.band_names}, "
+                         f"{name} {list(names)}")
+    dataset = Dataset(list(model.band_names), X, y)
+    if dataset.n_samples == 0:
+        raise ValueError(f"{name} must be non-empty")
+    return dataset
+
+
 def model_forward(model: Model, bands, signed: bool = False):
     """End-to-end logit. Returns (logit, cache).
 
@@ -622,14 +642,6 @@ class TrainHistory:
     stopped_epoch: int = 0
 
 
-def _dataset_arrays(dataset):
-    """Accept a data.Dataset or an (X, y) tuple."""
-    if hasattr(dataset, "X") and hasattr(dataset, "y"):
-        return np.asarray(dataset.X, dtype=np.float64), np.asarray(dataset.y)
-    X, y = dataset
-    return np.asarray(X, dtype=np.float64), np.asarray(y)
-
-
 def _divergence(mean_loss: float, vector) -> str | None:
     """Why an epoch with this mean train loss and these parameters counts
     as diverged, or None."""
@@ -652,19 +664,15 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
     improvement or at ``max_epochs``, then restores the best-epoch
     parameters. Returns (model, TrainHistory).
 
-    Both sets are validated once, on entry (finite, the model's band
-    count, nonnegative for nd/attnd); the steps then run the unchecked
-    cores. Each step writes the gradients into one preallocated vector
-    and makes one Adam update.
+    Each set, a ``data.Dataset`` or an (X, y) pair, passes ``_check_set``
+    once, on entry (nonnegative for nd/attnd); the steps then run the
+    unchecked cores. Each step writes the gradients into one preallocated
+    vector and makes one Adam update.
     Raises ``TrainingDiverged`` after an epoch whose parameters or loss
     are not finite or whose mean train loss exceeds ``DIVERGENCE_LOSS``.
     """
-    X_train, y_train = _dataset_arrays(train_set)
-    X_val, y_val = _dataset_arrays(val_set)
-    if len(X_train) == 0 or len(X_val) == 0:
-        raise ValueError("train and validation sets must be non-empty")
-    _check_input(model, X_train, False, "training set")
-    _check_input(model, X_val, False, "validation set")
+    train_set = _check_set(model, train_set, False, "training set")
+    val_set = _check_set(model, val_set, False, "validation set")
 
     rng = np.random.default_rng(config.seed)
     vector = model.vector
@@ -678,11 +686,11 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
     epochs_since_improvement = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(X_train))
+        order = rng.permutation(train_set.n_samples)
         loss_sum = 0.0
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
-            xb, yb = X_train[chunk], y_train[chunk]
+            xb, yb = train_set.X[chunk], train_set.y[chunk]
             logits, cache = _model_forward(model, xb)
             losses, d_logits = bce_with_logits(logits, yb)
             loss_sum += float(losses.sum())
@@ -690,15 +698,15 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
                             need_input=False)
             adam_step(vector, grad, state, config)
 
-        train_loss = loss_sum / len(X_train)
+        train_loss = loss_sum / train_set.n_samples
         problem = _divergence(train_loss, vector)
         if problem is not None:
             raise TrainingDiverged(
                 f"training diverged at epoch {epoch}: {problem}", epoch)
 
-        val_logits = _model_logits(model, X_val)
-        val_losses, _ = bce_with_logits(val_logits, y_val)
-        val_acc = accuracy_from_logits(val_logits, y_val)
+        val_logits = _model_logits(model, val_set.X)
+        val_losses, _ = bce_with_logits(val_logits, val_set.y)
+        val_acc = accuracy_from_logits(val_logits, val_set.y)
 
         history.train_loss.append(train_loss)
         history.val_loss.append(float(val_losses.mean()))

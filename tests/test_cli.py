@@ -508,6 +508,24 @@ class TestCoeffsCommand:
         assert rc == 1
         assert "coefficients" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha, beta", [(-800.0, 0.0), (0.0, -800.0),
+                                             (1e300, -700.0), (-700.0, 1e300)])
+    def test_ratio_out_of_range_is_one_error_line(self, alpha, beta, tmp_path,
+                                                  capsys):
+        # softplus(-800) is 0 in float64, and 1e300 / softplus(-700)
+        # overflows: the ratios once divided by zero or overflowed, and
+        # the ranking raised ZeroDivisionError or listed an inf
+        model = build_model("nd", 2, 3, seed=0)
+        model.nd_params.alpha[1], model.nd_params.beta[1] = alpha, beta
+        ckpt = tmp_path / "underflow.json"
+        save_checkpoint(model, ckpt)
+        out = tmp_path / "out"
+        rc = main(["coeffs", str(ckpt), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(err) == 1 and err[0].startswith("error: ValueError: "), err
+        assert not out.exists()
+
     def test_trained_checkpoint_deterministic_ranking(self, crossval_run,
                                                       tmp_path):
         _, _, run_dir = crossval_run

@@ -92,6 +92,14 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="band names"):
             accuracy(model, wrong_names)
 
+    def test_pair_scores_like_its_dataset_and_labels_are_checked(self):
+        model = constant_logit_model(40.0)
+        ds = uniform_dataset(20, 3, label=1)
+        assert accuracy(model, (ds.X, ds.y)) == accuracy(model, ds) == 1.0
+        for labels in (2 * ds.y, ds.y[:-1], ds.y[:, None]):
+            with pytest.raises(ValueError, match="^labels must be"):
+                accuracy(model, (ds.X, labels))
+
     def test_empty_dataset_rejected(self):
         model = constant_logit_model(1.0)
         empty = Dataset(["b0", "b1", "b2"], np.zeros((0, 3)),

@@ -706,7 +706,9 @@ class TestTraining:
         sigmoid = counting("sigmoid", ndmath.sigmoid)
         for module in (net, ndlayer, ndmath):
             monkeypatch.setattr(module, "sigmoid", sigmoid, raising=False)
-        train(model, make_dataset(X[:70], y[:70]), make_dataset(X[70:], y[70:]),
+        names = model.band_names
+        train(model, make_dataset(X[:70], y[:70], names),
+              make_dataset(X[70:], y[70:], names),
               TrainConfig(max_epochs=1, patience=1))
         nd = arch != "mlp"
         assert calls == {"softplus": (3 + 2) * nd, "sigmoid": 0}
@@ -1106,6 +1108,56 @@ class TestTrainingEntryChecks:
         with pytest.raises(ValueError) as train_error:
             train(build_model(arch, 2, 4, seed=0), *self.sets(X, ds.y), self.config)
         assert str(train_error.value) == str(forward_error.value)
+
+    # Each turns a set's 0/1 labels into ones that a Dataset rejects.
+    BAD_LABELS = {"0 and 2": lambda y: 2 * y,
+                  "0.5": lambda y: np.full(len(y), 0.5),
+                  "too long": lambda y: np.append(y, 1),
+                  "too short": lambda y: y[:-1],
+                  "2-d": lambda y: y[:, None]}
+
+    @pytest.mark.parametrize("bad", BAD_LABELS)
+    @pytest.mark.parametrize("form", ["pair", "Dataset"])
+    @pytest.mark.parametrize("which", [0, 1], ids=["train", "val"])
+    def test_bad_labels_rejected(self, bad, form, which):
+        # a pair's labels once trained silently or ended in an IndexError;
+        # a Dataset's are set after it was built, past its own check
+        ds = four_band_dataset(40, seed=1)
+        sets = list(self.sets(ds.X, ds.y))
+        labels = self.BAD_LABELS[bad](sets[which][1])
+        if form == "pair":
+            sets[which] = (sets[which][0], labels)
+        else:
+            sets = [make_dataset(X, y) for X, y in sets]
+            sets[which].y = labels
+        model = build_model("nd", 2, 4, seed=0)
+        before = model.vector.copy()
+        with pytest.raises(ValueError,
+                           match="^labels must be (0 or 1|one per row)$"):
+            train(model, *sets, self.config)
+        assert np.array_equal(model.vector, before)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["train", "val"])
+    def test_band_names_in_another_order_rejected(self, which):
+        ds = four_band_dataset(40, seed=1)
+        model = build_model("nd", 2, 4, seed=0)
+        names = list(model.band_names)
+        sets = [make_dataset(X, y, names) for X, y in self.sets(ds.X, ds.y)]
+        sets[which] = make_dataset(sets[which].X, sets[which].y, names[::-1])
+        before = model.vector.copy()
+        with pytest.raises(ValueError, match="^band names disagree"):
+            train(model, *sets, self.config)
+        assert np.array_equal(model.vector, before)
+
+    @pytest.mark.parametrize("dtype", [bool, float])
+    def test_bool_and_float_labels_train_like_int_labels(self, dtype):
+        ds = four_band_dataset(40, seed=1)
+        runs = [train(build_model("attnd", 2, 4, seed=0),
+                      *self.sets(ds.X, labels), self.config)
+                for labels in (ds.y, ds.y.astype(dtype))]
+        (model_a, history_a), (model_b, history_b) = runs
+        assert np.array_equal(model_a.vector, model_b.vector)
+        assert history_a == history_b
 
     def test_mlp_trains_on_negatives(self):
         ds = four_band_dataset(40, seed=1)
