@@ -9,8 +9,9 @@ version): identical flags reproduce identical file contents.
 Exit status: 0 on success, 1 when the command's contract fails (bad data,
 failed tolerance, missing checkpoint), 2 for usage errors. Failures print
 one line ``error: <category>: <message>`` on stderr. ND_THREADS caps the
-number of worker processes used for cross-validation folds (default 1;
-an integer of at least 1, further capped by the fold and CPU counts).
+number of worker processes that train the stacks of cross-validation
+folds (default 1; an integer of at least 1, further capped by the fold
+and CPU counts).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -225,15 +225,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _fold_star(packed):
-    return ev.crossval_fold(*packed)
-
-
-def _fold_runner(n_folds: int):
-    """A parallel map over folds when ND_THREADS asks for it, else None.
-
-    Workers are capped at the fold count and at the CPU count.
-    """
+def _workers(n_folds: int) -> int:
+    """The ND_THREADS worker count, capped at the fold and CPU counts."""
     text = os.environ.get("ND_THREADS", "1")
     try:
         threads = int(text)
@@ -241,26 +234,18 @@ def _fold_runner(n_folds: int):
         threads = 0
     if threads < 1:
         raise UsageError(f"ND_THREADS must be an integer >= 1, got {text!r}")
-    workers = min(threads, n_folds, os.cpu_count() or 1)
-    if workers <= 1:
-        return None
-
-    def runner(argslist):
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_fold_star, argslist))
-
-    return runner
+    return max(1, min(threads, n_folds, os.cpu_count() or 1))
 
 
 def cmd_crossval(args) -> int:
-    fold_runner = _fold_runner(args.folds)
+    workers = _workers(args.folds)
     dataset = _load_dataset(args)
     config = net.TrainConfig(learning_rate=args.lr, weight_decay=args.wd,
                              batch_size=args.batch, max_epochs=args.epochs,
                              patience=args.patience, seed=args.seed,
                              eps=args.eps)
     result = ev.run_crossval(args.arch, args.depth, dataset, config,
-                             n_folds=args.folds, fold_runner=fold_runner)
+                             n_folds=args.folds, workers=workers)
     report = result.report
 
     run_dir = _run_dir(args)

@@ -37,7 +37,9 @@ block size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import contextlib
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -516,39 +518,105 @@ class CrossvalResult:
     split: data_mod.SplitSpec
 
 
-def crossval_fold(arch: str, depth: int, dataset, config: net.TrainConfig,
-                  split: data_mod.SplitSpec, fold: int):
-    """Train and test one fold; returns (fold, test_accuracy, model, history)."""
-    train_set, val_set, test_set = data_mod.stratified_split(dataset, split, fold)
-    seed = _child_seed(config.seed, fold)
-    model = net.build_model(arch, depth, dataset.n_bands, seed=seed,
-                            eps=config.eps, band_names=dataset.band_names)
-    fold_config = replace(config, seed=seed)
-    try:
-        model, history = net.train(model, train_set, val_set, fold_config)
-    except net.TrainingDiverged as exc:
-        raise net.TrainingDiverged(f"fold {fold}: {exc}", exc.epoch, fold) from None
-    return fold, accuracy(model, test_set), model, history
+def _train_stack(job):
+    """Train the folds of one stack side by side (``network._lockstep``).
+
+    ``job`` is (arch, depth, dataset, config, split, folds, settings):
+    ``folds`` lists fold indices in order, and ``settings`` is numpy's
+    error settings (``np.geterr()``) under which floating-point errors
+    are only recorded, or None to train under numpy's current settings.
+    Returns a (fold, test accuracy, model, outcome) tuple per fold, the
+    outcome as ``_lockstep`` gives it and the accuracy None for a diverged
+    fold, and whether an error was recorded.
+    """
+    arch, depth, dataset, config, split, folds, settings = job
+    rows = [data_mod._fold_rows(dataset.y, split, fold) for fold in folds]
+    seeds = [_child_seed(config.seed, fold) for fold in folds]
+    models = [net.build_model(arch, depth, dataset.n_bands, seed=seed,
+                              eps=config.eps, band_names=dataset.band_names)
+              for seed in seeds]
+    train_rows = np.stack([train for train, _, _ in rows])
+    X, y = dataset.X[train_rows], dataset.y[train_rows]
+    val_sets = []
+    for k, (_, val, _) in enumerate(rows):
+        net._check_set(models[0], (X[k], y[k]), False, "training set")
+        val_sets.append(net._check_set(models[0], dataset.subset(val), False,
+                                       "validation set"))
+    errors = []
+    with (contextlib.nullcontext() if settings is None else np.errstate(
+            **{kind: "ignore" if mode == "ignore" else "call"
+               for kind, mode in settings.items()},
+            call=lambda *error: errors.append(error))):
+        outcomes = net._lockstep(models, X, y, val_sets, config, seeds)
+    return [(fold, None if isinstance(outcome, net.TrainingDiverged)
+             else accuracy(model, dataset.subset(test)), model, outcome)
+            for fold, (_, _, test), model, outcome
+            in zip(folds, rows, models, outcomes)], bool(errors)
+
+
+def _deal(sizes, n_bands: int, batch_size: int, workers: int):
+    """Stacks of fold indices, given each fold's training-set size: folds
+    of equal sizes, at most ``network._stack_size`` of them per stack and
+    dealt evenly, split further until there are ``workers`` stacks or none
+    has two folds."""
+    by_size = {}
+    for fold, n_rows in enumerate(sizes):
+        by_size.setdefault(n_rows, []).append(fold)
+    stacks = []
+    for n_rows, folds in by_size.items():
+        count = -(-len(folds) // net._stack_size(n_bands, min(batch_size, n_rows)))
+        stacks += [folds[k::count] for k in range(count)]
+    while len(stacks) < workers and max(map(len, stacks)) > 1:
+        largest = max(stacks, key=len)
+        stacks.remove(largest)
+        stacks += [largest[0::2], largest[1::2]]
+    return stacks
 
 
 def run_crossval(arch: str, depth: int, dataset, config: net.TrainConfig,
-                 n_folds: int = 10, fold_runner=None) -> CrossvalResult:
+                 n_folds: int = 10, workers: int = 1) -> CrossvalResult:
     """Stratified k-fold cross-validation of one architecture/depth.
 
     Each fold trains on its 70% with early stopping on its 20% and is
     scored on its held-out 10%. Per-fold model seeds derive from
     config.seed and the fold index, so reports are bit-reproducible.
-    ``fold_runner`` may map ``crossval_fold`` arguments in parallel; fold
-    results are assembled by index either way.
+
+    Folds with equal training-set sizes train side by side in stacks
+    (``_deal``, ``network._lockstep``), and each fold gets the bits it
+    gets when trained alone. With ``workers`` above 1 a process pool of
+    that size trains the stacks, of which there are then at least that
+    many. The lowest-index diverged fold's ``TrainingDiverged`` is raised
+    with its ``fold`` set. While the stacks train, the floating-point
+    errors that numpy's settings would report are only recorded; if any
+    occurred, the folds train again one by one, in order and up to the
+    first that diverges, under those settings. So errors and warnings
+    come as a fold-by-fold run gives them, and none from a fold that such
+    a run would not have trained.
     """
     split = data_mod.SplitSpec(n_folds=n_folds, seed=config.seed)
-    args = [(arch, depth, dataset, config, split, fold)
-            for fold in range(n_folds)]
-    if fold_runner is None:
-        outcomes = [crossval_fold(*a) for a in args]
+    sizes = [len(data_mod._fold_rows(dataset.y, split, fold)[0])
+             for fold in range(n_folds)]
+    jobs = [(arch, depth, dataset, config, split, stack, np.geterr())
+            for stack in _deal(sizes, dataset.n_bands, config.batch_size, workers)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_train_stack, jobs))
     else:
-        outcomes = list(fold_runner(args))
+        done = list(map(_train_stack, jobs))
+    outcomes = [item for part, _ in done for item in part]
+    if any(errors for _, errors in done):
+        outcomes = []
+        for fold in range(n_folds):
+            (item,), _ = _train_stack((arch, depth, dataset, config, split,
+                                       [fold], None))
+            outcomes.append(item)
+            if isinstance(item[3], net.TrainingDiverged):
+                break
     outcomes.sort(key=lambda item: item[0])
+    for fold, _, _, outcome in outcomes:
+        if isinstance(outcome, net.TrainingDiverged):
+            raise net.TrainingDiverged(f"fold {fold}: {outcome}", outcome.epoch,
+                                       fold)
 
     accs = [acc for _, acc, _, _ in outcomes]
     models = [m for _, _, m, _ in outcomes]

@@ -257,42 +257,51 @@ def _forward(batch, block, eps, idx: PairIndexer, signed: bool):
     return out, NdCache(block, coeffs, b_i, b_j, denom, idx, eps)
 
 
+# Subscripts of the batch sums by the rank of the summed arrays: a 2-d
+# batch, or a stack of F batches whose sums stay apart.
+_BATCH_SUM = {2: "bp,bp->p", 3: "fbp,fbp->fp"}
+
+
 def _backward(cache: NdCache, delta, signed: bool, d_alpha, d_beta,
               need_input: bool = True):
     """Quotient-rule gradients of ``_forward``, with the same ``signed``.
 
-    ``delta`` is 2-d like the cached forward. The coefficient gradients
-    are written into ``d_alpha`` and ``d_beta``; returns the input
-    gradient, or None when ``need_input`` is false. Nothing is checked.
+    ``delta`` is shaped like the cached forward's output: (batch, n_pairs),
+    or (F, batch, n_pairs) for a forward of F stacked batches on an
+    (F, 1, 2 * n_pairs) block, whose sums stay per item. The coefficient
+    gradients are written into ``d_alpha`` and ``d_beta``, (n_pairs,) or
+    (F, n_pairs); returns the input gradient, or None when ``need_input``
+    is false. Nothing is checked.
     """
     B, eps, idx = cache.denom, cache.eps, cache.indexer
     n = idx.n_pairs
-    sa, sb = cache.coeffs[:n], cache.coeffs[n:]
+    sa, sb = cache.coeffs[..., :n], cache.coeffs[..., n:]
     b_i, b_j = cache.b_i, cache.b_j
     m_i, m_j = ((_smooth_abs(b_i, eps), _smooth_abs(b_j, eps)) if signed
                 else (b_i, b_j))
     # The three batch sums of the module docstring, with R = delta/B^2.
     R = np.square(B)
     np.divide(delta, R, out=R)
-    s_i = np.einsum("bp,bp->p", R, b_i)
-    s_j = np.einsum("bp,bp->p", R, b_j)
+    s_i = np.einsum(_BATCH_SUM[R.ndim], R, b_i)
+    s_j = np.einsum(_BATCH_SUM[R.ndim], R, b_j)
     t = R * b_i
     t *= m_j
     if signed:
         u = R * m_i
         u *= b_j
         t += u
-    s_x = np.add.reduce(t, axis=0)
+    s_x = np.add.reduce(t, axis=-2)
     if not signed:  # m_i*b_j = b_i*m_j, so the second product is the first
         s_x *= 2.0
-    neg_sig = np.expm1(-cache.coeffs)  # -sigmoid(alpha|beta)
-    np.multiply(sb, s_x, out=d_alpha)
+    coeffs = cache.coeffs.reshape(s_x.shape[:-1] + (2 * n,))  # no row axis
+    neg_sig = np.expm1(-coeffs)  # -sigmoid(alpha|beta)
+    np.multiply(coeffs[..., n:], s_x, out=d_alpha)
     d_alpha += eps * s_i
-    d_alpha *= neg_sig[:n]
+    d_alpha *= neg_sig[..., :n]
     np.negative(d_alpha, out=d_alpha)
-    np.multiply(sa, s_x, out=d_beta)
+    np.multiply(coeffs[..., :n], s_x, out=d_beta)
     d_beta += eps * s_j
-    d_beta *= neg_sig[n:]
+    d_beta *= neg_sig[..., n:]
     if not need_input:
         return None
     # delta*dN/db_i = sa*R*(B - A*m'(b_i)), delta*dN/db_j = -sb*R*(B +

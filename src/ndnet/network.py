@@ -25,7 +25,15 @@ All training state is explicit. The arrays that ``Model.parameters()``
 lists (in the layout's order) are views of ``Model.vector``, so one
 training step is one Adam update on that vector, with one pair of moment
 vectors, and the best-epoch snapshot and its restore are one copy each.
-The training loop is deterministic given TrainConfig.seed.
+There is one training loop, ``_lockstep``. ``train()`` runs it on one
+model's own vector; cross-validation runs it on a stack of models of one
+layout whose training sets have one size. A stack's vectors are the rows
+of one (F, P) matrix, which a ``_Stack`` views with a leading model axis,
+so each step is one forward and one backward through the same cores and
+one Adam update of the matrix. Each model keeps its own shuffle
+generator, validation set, best-epoch snapshot and early stopping, and
+gets the bits that training it alone gives. The loop is deterministic
+given the seeds.
 
 Each formula lives in one private core that checks nothing
 (``_model_forward``/``_model_backward``, ``_dense_forward``/
@@ -131,9 +139,11 @@ class DenseCache:
 def _dense_forward(layer: DenseLayer, x):
     """Affine map plus activation of a 2-d batch; nothing is checked.
 
-    Gradient checks pass (S, 1, n_in) stacks of one-row batches, with a
-    (S, n_out, n_in) stack of weights or a (S, 1, n_out) stack of biases;
-    the product is then one per-item one-row product, as for one row.
+    Stacks broadcast over a leading axis: gradient checks pass (S, 1, n_in)
+    stacks of one-row batches, with a (S, n_out, n_in) stack of weights or
+    a (S, 1, n_out) stack of biases, and a ``_Stack`` of F models passes
+    (F, batch, n_in) batches with (F, n_out, n_in) weights and (F, 1, n_out)
+    biases. The product is then one per-item product, as for one item.
     """
     pre = x @ layer.weights.swapaxes(-1, -2)
     pre += layer.bias
@@ -145,14 +155,15 @@ def _dense_backward(layer: DenseLayer, cache: DenseCache, delta, d_weights,
                     d_bias, need_input: bool = True):
     """Writes the weight and bias gradients into ``d_weights``/``d_bias``.
 
-    ``delta`` is 2-d; returns the input gradient, or None when
-    ``need_input`` is false. The ReLU derivative at 0 is 0. Nothing is
-    checked.
+    ``delta`` is (batch, n_out), or (F, batch, n_out) for a ``_Stack`` with
+    (F, n_out, n_in) and (F, n_out) gradients. Returns the input gradient,
+    or None when ``need_input`` is false. The ReLU derivative at 0 is 0.
+    Nothing is checked.
     """
     if layer.activation == "relu":
         delta = delta * (cache.pre > 0)
-    np.matmul(delta.T, cache.inputs, out=d_weights)
-    np.add.reduce(delta, axis=0, out=d_bias)
+    np.matmul(delta.swapaxes(-1, -2), cache.inputs, out=d_weights)
+    np.add.reduce(delta, axis=-2, out=d_bias)
     return delta @ layer.weights if need_input else None
 
 
@@ -171,7 +182,8 @@ def _gate(layer: DenseLayer, batch, outputs):
 
 def _gate_backward(layer: DenseLayer, cache, delta, d_weights, d_bias,
                    need_bands: bool = True):
-    """Gradients of ``_gate`` for a 2-d ``delta``; nothing is checked.
+    """Gradients of ``_gate`` for a ``delta`` shaped like ``_dense_backward``'s;
+    nothing is checked.
 
     Writes the weight and bias gradients into ``d_weights`` and ``d_bias``
     and returns (d_outputs, d_bands), d_bands None unless ``need_bands``.
@@ -328,11 +340,7 @@ class Model:
             self.nd_params = NdParams(named["nd.alpha"], named["nd.beta"])
         self.attn_weights = named.get("attn.weights")
         self.attn_bias = named.get("attn.bias")
-        self.attn_layer = (None if self.attn_weights is None else DenseLayer(
-            self.attn_weights, self.attn_bias, "identity"))
-        self.layers = [DenseLayer(named[f"dense{k}.weights"],
-                                  named[f"dense{k}.bias"], activation)
-                       for k, activation in enumerate(activations)]
+        self.attn_layer, self.layers = _dense_layers(named, activations)
 
     @property
     def n_bands(self) -> int:
@@ -353,16 +361,55 @@ class Model:
         return [name for name, _ in shapes]
 
     def views(self, vector) -> list:
-        """Views of a vector laid out like ``vector``, in parameters() order."""
-        views, offset = [], 0
+        """Views of a vector laid out like ``vector``, in parameters() order;
+        the rows of an (F, P) matrix give (F,) + shape views."""
+        views, offset, lead = [], 0, vector.shape[:-1]
         for _, shape in _layout(self.arch, self.depth, self.n_bands)[0]:
             size = math.prod(shape)
-            views.append(vector[offset:offset + size].reshape(shape))
+            views.append(vector[..., offset:offset + size].reshape(lead + shape))
             offset += size
         return views
 
     def copy(self) -> "Model":
         return copy.deepcopy(self)
+
+
+def _dense_layers(named: dict, activations):
+    """The gate's identity ``DenseLayer`` (None without a gate) and the dense
+    stack, on the arrays of ``named``, keyed by ``_layout``'s names."""
+    weights = named.get("attn.weights")
+    gate = (None if weights is None
+            else DenseLayer(weights, named["attn.bias"], "identity"))
+    return gate, [DenseLayer(named[f"dense{k}.weights"], named[f"dense{k}.bias"],
+                             activation) for k, activation in enumerate(activations)]
+
+
+@dataclass(eq=False)
+class _Stack:
+    """F models of one layout whose vectors are the rows of one (F, P)
+    matrix, as ``_model_forward`` and ``_model_backward`` read them.
+
+    Every array is a view of the matrix with a leading model axis; the
+    1-d ones (the biases and the alpha|beta block) carry a unit row axis
+    after it, so that they broadcast over (F, batch, width) activations.
+    """
+
+    arch: str
+    eps: float
+    indexer: PairIndexer
+    vector: np.ndarray  # (F, 1, P)
+    attn_layer: DenseLayer | None
+    layers: list
+
+
+def _stack(model: Model, matrix) -> _Stack:
+    """A ``_Stack`` of ``model``'s layout over the rows of ``matrix``."""
+    shapes, activations = _layout(model.arch, model.depth, model.n_bands)
+    views = [view[:, None] if view.ndim == 2 else view
+             for view in model.views(matrix)]
+    return _Stack(model.arch, model.eps, model.indexer, matrix[:, None],
+                  *_dense_layers(dict(zip((name for name, _ in shapes), views)),
+                                 activations))
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -463,14 +510,29 @@ class ReplayCache:
 # Float64 elements per scoring block array (512 KB); ``_model_logits``
 # sizes its row blocks by it, and gradient checks their stacks.
 _BLOCK_ELEMENTS = 1 << 16
+# Float64 elements per stacked (models, batch, width) training-step array:
+# 128 KiB, glibc's default mmap threshold, above which every step's
+# temporaries are mapped and page-faulted afresh.
+_STEP_ELEMENTS = 1 << 14
+
+
+def _widest(n_bands: int) -> int:
+    """The widest per-row activation on ``n_bands`` bands: the pair count
+    (the mlp hidden width too) or the band count."""
+    return max(pair_count(n_bands), n_bands)
 
 
 def _block_rows(n_bands: int, width: int = 0) -> int:
     """Rows per block, at least 1, so that no block array exceeds
-    ``_BLOCK_ELEMENTS`` floats when a row holds ``width`` floats or the
-    widest per-row activation on ``n_bands`` bands: the pair count (the
-    mlp hidden width too) or the band count."""
-    return max(1, _BLOCK_ELEMENTS // max(pair_count(n_bands), n_bands, width))
+    ``_BLOCK_ELEMENTS`` floats when a row holds ``width`` floats or
+    ``_widest(n_bands)``."""
+    return max(1, _BLOCK_ELEMENTS // max(_widest(n_bands), width))
+
+
+def _stack_size(n_bands: int, rows: int) -> int:
+    """Models per training stack, at least 1, so that no (models, rows,
+    ``_widest(n_bands)``) step array exceeds ``_STEP_ELEMENTS`` floats."""
+    return max(1, _STEP_ELEMENTS // (rows * _widest(n_bands)))
 
 
 def _model_forward(model: Model, batch, signed: bool = False):
@@ -478,14 +540,15 @@ def _model_forward(model: Model, batch, signed: bool = False):
 
     The pairwise core reads the adjacent alpha|beta block of
     ``model.vector``, alpha's half first. Gradient checks pass an
-    (S, 1, n_bands) stack of one-row batches and get (S, 1) logits.
-    Nothing is checked: ``model_forward`` and ``train`` validate the
-    inputs first.
+    (S, 1, n_bands) stack of one-row batches and get (S, 1) logits; a
+    ``_Stack`` of F models takes an (F, batch, n_bands) batch and gives
+    (F, batch) logits. Nothing is checked: ``model_forward`` and
+    ``train`` validate the inputs first.
     """
     first = gate = None
     x = batch
-    if model.nd_params is not None:
-        x, first = _forward(batch, model.vector[:2 * model.nd_params.n_pairs],
+    if model.arch != "mlp":
+        x, first = _forward(batch, model.vector[..., :2 * model.indexer.n_pairs],
                             model.eps, model.indexer, signed)
         if model.attn_layer is not None:
             x, gate = _gate(model.attn_layer, batch, x)
@@ -493,7 +556,7 @@ def _model_forward(model: Model, batch, signed: bool = False):
     for layer in model.layers:
         x, cache = _dense_forward(layer, x)
         dense.append(cache)
-    return x[:, 0], ModelCache(first, gate, dense, signed)
+    return x[..., 0], ModelCache(first, gate, dense, signed)
 
 
 def _model_logits(model: Model, batch, signed: bool = False):
@@ -515,18 +578,19 @@ def _model_backward(model: Model, cache: ModelCache, d_logit, grads,
                     need_input: bool = True):
     """Write every parameter gradient into ``grads``; return d_bands.
 
-    ``d_logit`` is 1-d with one entry per cached row and ``grads`` holds
-    views shaped like ``model.parameters()``, in that order. With
+    ``d_logit`` has one entry per cached row, (F, batch) for a ``_Stack``,
+    and ``grads`` holds the views ``Model.views`` gives of a vector, or of
+    an (F, P) matrix for a stack, in ``parameters()`` order. With
     ``need_input`` false the first layer's input gradient is skipped and
     None is returned. Nothing is checked.
     """
-    delta = d_logit[:, None]
+    delta = d_logit[..., None]
     lead = len(grads) - 2 * len(model.layers)
     for k in range(len(model.layers) - 1, -1, -1):
         delta = _dense_backward(model.layers[k], cache.dense[k], delta,
                                 grads[lead + 2 * k], grads[lead + 2 * k + 1],
                                 need_input or k > 0 or lead > 0)
-    if model.nd_params is None:
+    if model.arch == "mlp":
         return delta
     gate_bands = None
     if model.attn_layer is not None:
@@ -666,65 +730,117 @@ def train(model: Model, train_set, val_set, config: TrainConfig):
 
     Each set, a ``data.Dataset`` or an (X, y) pair, passes ``_check_set``
     once, on entry (nonnegative for nd/attnd); the steps then run the
-    unchecked cores. Each step writes the gradients into one preallocated
-    vector and makes one Adam update.
+    unchecked cores. This is ``_lockstep`` with one model, which steps
+    the model's own arrays: each step writes the gradients into one
+    preallocated vector and makes one Adam update.
     Raises ``TrainingDiverged`` after an epoch whose parameters or loss
     are not finite or whose mean train loss exceeds ``DIVERGENCE_LOSS``.
     """
     train_set = _check_set(model, train_set, False, "training set")
     val_set = _check_set(model, val_set, False, "validation set")
+    (outcome,) = _lockstep([model], train_set.X[None], train_set.y[None],
+                           [val_set], config, [config.seed])
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    return model, outcome
 
-    rng = np.random.default_rng(config.seed)
-    vector = model.vector
+
+def _lockstep(models, X, y, val_sets, config: TrainConfig, seeds):
+    """Train F models of one layout side by side, each exactly as ``train``
+    would train it alone on its checked sets.
+
+    Model k trains on the rows ``X[k]``, (n, n_bands), labelled ``y[k]``
+    and validates on the checked Dataset ``val_sets[k]``. It shuffles
+    with its own generator, seeded ``seeds[k]``, and has its own
+    best-epoch snapshot, early stopping and divergence check; ``config``
+    gives everything else. Each step gathers its batch rows from ``X``.
+    One model steps its own arrays. Several step as one ``_Stack`` on an
+    (F, P) matrix of their vectors, with one Adam state (the step count
+    is shared), and each validation pass copies a model's row into its
+    vector. A model leaves the stack when it stops or diverges. Returns a
+    list parallel to ``models``: the TrainHistory of a model that stopped
+    (its vector then holds the best epoch's parameters) or the
+    TrainingDiverged of one that diverged.
+    """
+    n_rows = X.shape[1]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    outcomes = [None] * len(models)
+    histories = [TrainHistory() for _ in models]
+    best = [model.vector.copy() for model in models]
+    best_acc = [-np.inf] * len(models)
+    since = [0] * len(models)
+    active = list(range(len(models)))
+    if len(models) == 1:
+        stack, vector = models[0], models[0].vector
+    else:
+        vector = np.stack([model.vector for model in models])
+        stack = _stack(models[0], vector)
     grad = np.empty_like(vector)
-    grads = model.views(grad)
+    grads = models[0].views(grad)
     state = init_adam(vector)
-    history = TrainHistory()
-
-    best_vector = vector.copy()
-    best_acc = -np.inf
-    epochs_since_improvement = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(train_set.n_samples)
+        # each model's shuffled rows, as indices into the flattened X
+        order = np.array([rngs[k].permutation(n_rows) for k in active])
+        order += n_rows * np.arange(len(active))[:, None]
+        order = order.reshape(vector.shape[:-1] + (n_rows,))
+        X_rows, y_rows = X.reshape(-1, X.shape[-1]), y.reshape(-1)
         loss_sum = 0.0
-        for start in range(0, len(order), config.batch_size):
-            chunk = order[start:start + config.batch_size]
-            xb, yb = train_set.X[chunk], train_set.y[chunk]
-            logits, cache = _model_forward(model, xb)
+        for start in range(0, n_rows, config.batch_size):
+            chunk = order[..., start:start + config.batch_size]
+            xb, yb = X_rows[chunk], y_rows[chunk]
+            logits, cache = _model_forward(stack, xb)
             losses, d_logits = bce_with_logits(logits, yb)
-            loss_sum += float(losses.sum())
-            _model_backward(model, cache, d_logits / len(chunk), grads,
-                            need_input=False)
+            loss_sum += np.add.reduce(losses, axis=-1)
+            d_logits /= yb.shape[-1]
+            _model_backward(stack, cache, d_logits, grads, need_input=False)
             adam_step(vector, grad, state, config)
 
-        train_loss = loss_sum / train_set.n_samples
-        problem = _divergence(train_loss, vector)
-        if problem is not None:
-            raise TrainingDiverged(
-                f"training diverged at epoch {epoch}: {problem}", epoch)
+        rows = vector.reshape(len(active), -1)
+        loss_sums = np.reshape(loss_sum, -1)
+        leaving = []
+        for i, k in enumerate(active):
+            train_loss = float(loss_sums[i] / n_rows)
+            problem = _divergence(train_loss, rows[i])
+            if problem is not None:
+                outcomes[k] = TrainingDiverged(
+                    f"training diverged at epoch {epoch}: {problem}", epoch)
+                leaving.append(i)
+                continue
+            model, history = models[k], histories[k]
+            if len(models) > 1:
+                model.vector[...] = rows[i]
+            val_logits = _model_logits(model, val_sets[k].X)
+            val_losses, _ = bce_with_logits(val_logits, val_sets[k].y)
+            val_acc = accuracy_from_logits(val_logits, val_sets[k].y)
 
-        val_logits = _model_logits(model, val_set.X)
-        val_losses, _ = bce_with_logits(val_logits, val_set.y)
-        val_acc = accuracy_from_logits(val_logits, val_set.y)
+            history.train_loss.append(train_loss)
+            history.val_loss.append(float(val_losses.mean()))
+            history.val_accuracy.append(val_acc)
 
-        history.train_loss.append(train_loss)
-        history.val_loss.append(float(val_losses.mean()))
-        history.val_accuracy.append(val_acc)
-
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_vector = vector.copy()
-            history.best_epoch = epoch
-            epochs_since_improvement = 0
-        else:
-            epochs_since_improvement += 1
-        history.stopped_epoch = epoch
-        if epochs_since_improvement >= config.patience:
-            break
-
-    vector[...] = best_vector
-    return model, history
+            if val_acc > best_acc[k]:
+                best_acc[k] = val_acc
+                best[k] = model.vector.copy()
+                history.best_epoch = epoch
+                since[k] = 0
+            else:
+                since[k] += 1
+            history.stopped_epoch = epoch
+            if since[k] >= config.patience or epoch == config.max_epochs:
+                model.vector[...] = best[k]
+                outcomes[k] = history
+                leaving.append(i)
+        if leaving:
+            keep = [i for i in range(len(active)) if i not in leaving]
+            active = [active[i] for i in keep]
+            if not active:
+                break
+            vector, X, y = vector[keep], X[keep], y[keep]
+            state.m, state.v = state.m[keep], state.v[keep]
+            stack = _stack(models[0], vector)
+            grad = np.empty_like(vector)
+            grads = models[0].views(grad)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -685,27 +685,7 @@ class TestParallelFolds:
         ("1", 10, 8, None), ("5", 1, 8, None)])
     def test_worker_count_is_clamped(self, threads, folds, cpus, workers,
                                      monkeypatch):
-        created = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # workers None: one worker, so the stacks train in this process
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("ND_THREADS", threads)
-        runner = cli._fold_runner(folds)
-        if workers is None:
-            assert runner is None
-        else:
-            assert runner([]) == []
-            assert created == [workers]
+        assert cli._workers(folds) == (workers or 1)

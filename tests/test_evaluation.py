@@ -1,12 +1,12 @@
 import math
 import warnings
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, is_dataclass, replace
 
 import numpy as np
 import pytest
 
-from ndnet import evaluation, ndlayer, network
-from ndnet.data import Dataset, SplitSpec, SynthSpec, synth_generate
+from ndnet import data, evaluation, ndlayer, network
+from ndnet.data import Dataset, SplitSpec, SynthSpec, stratified_split, synth_generate
 from ndnet.evaluation import (
     accuracy,
     attach_noise_sweep,
@@ -26,6 +26,7 @@ from ndnet.network import (
     build_model,
     load_checkpoint,
     save_checkpoint,
+    train,
 )
 
 softplus_inverse = lambda y: math.log(math.expm1(y))  # softplus(log(e^y - 1)) = y
@@ -684,26 +685,23 @@ class TestRunCrossval:
         b = run_crossval("nd", 2, ds, QUICK, n_folds=10).report
         assert asdict(a) == asdict(b)
 
-    def test_fold_runner_matches_serial(self):
-        from ndnet.evaluation import crossval_fold
+    def test_worker_pool_matches_serial(self):
         ds = small_synth()
-        serial = run_crossval("nd", 2, ds, QUICK, n_folds=10).report
-        shuffled = run_crossval(
-            "nd", 2, ds, QUICK, n_folds=10,
-            fold_runner=lambda args: [crossval_fold(*a)
-                                      for a in reversed(args)]).report
-        assert asdict(serial) == asdict(shuffled)
+        serial = run_crossval("nd", 2, ds, QUICK, n_folds=10)
+        pooled = run_crossval("nd", 2, ds, QUICK, n_folds=10, workers=2)
+        assert asdict(serial.report) == asdict(pooled.report)
+        assert serial.histories == pooled.histories
+        for a, b in zip(serial.models, pooled.models):
+            assert np.array_equal(a.vector, b.vector)
 
     def test_divergence_names_the_fold(self):
-        from ndnet.evaluation import crossval_fold
         ds = small_synth()
         config = TrainConfig(learning_rate=1e4, max_epochs=3, patience=3, seed=0)
-        split = SplitSpec(n_folds=2, seed=0)
         with np.errstate(all="ignore"), pytest.raises(
                 network.TrainingDiverged,
-                match=r"^fold 1: training diverged at epoch \d") as info:
-            crossval_fold("mlp", 3, ds, config, split, 1)
-        assert info.value.fold == 1 and info.value.epoch >= 1
+                match=r"^fold 0: training diverged at epoch \d") as info:
+            run_crossval("mlp", 3, ds, config, n_folds=2)
+        assert info.value.fold == 0 and info.value.epoch >= 1
 
     def test_attach_noise_sweep_degradation(self):
         ds = small_synth()
@@ -751,9 +749,164 @@ class TestRunCrossval:
         assert {row[2] for row in hist_rows} == set(range(10))
 
 
+def fold_by_fold(arch, depth, dataset, config, n_folds):
+    """Cross-validation as one ``train()`` per fold, in fold order: a
+    (model, history, test accuracy) per fold, or the first fold's
+    divergence raised as ``run_crossval`` raises it."""
+    split = SplitSpec(n_folds=n_folds, seed=config.seed)
+    folds = []
+    for fold in range(n_folds):
+        train_set, val_set, test_set = stratified_split(dataset, split, fold)
+        seed = evaluation._child_seed(config.seed, fold)
+        model = build_model(arch, depth, dataset.n_bands, seed=seed, eps=config.eps,
+                            band_names=dataset.band_names)
+        try:
+            model, history = train(model, train_set, val_set,
+                                   replace(config, seed=seed))
+        except network.TrainingDiverged as exc:
+            raise network.TrainingDiverged(f"fold {fold}: {exc}", exc.epoch,
+                                           fold) from None
+        folds.append((model, history, accuracy(model, test_set)))
+    return folds
+
+
+def diverged(run):
+    """The (message, epoch, fold) of the TrainingDiverged that ``run()``
+    raises."""
+    with pytest.raises(network.TrainingDiverged) as info:
+        run()
+    return str(info.value), info.value.epoch, info.value.fold
+
+
+def scaled_fold_rows(dataset, split, fold, factor):
+    """``dataset`` with the training rows of ``fold`` multiplied by ``factor``."""
+    X = dataset.X.copy()
+    X[data._fold_rows(dataset.y, split, fold)[0]] *= factor
+    return Dataset(dataset.band_names, X, dataset.y)
+
+
+class TestLockstep:
+    """Folds trained side by side give the bits of one ``train()`` per fold."""
+
+    # 83 rows (42/41 per class) give training sets of 57, 58 and 59 rows,
+    # which batch 10 does not divide; patience 3 stops folds at different
+    # epochs.
+    config = TrainConfig(batch_size=10, max_epochs=14, patience=3, seed=21)
+
+    @pytest.mark.parametrize("arch", ["nd", "attnd", "mlp"])
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_matches_fold_by_fold(self, arch, depth):
+        ds = small_synth(seed=4, n=83)
+        split = SplitSpec(n_folds=10, seed=self.config.seed)
+        sizes = [stratified_split(ds, split, fold)[0].n_samples
+                 for fold in range(10)]
+        stacks = evaluation._deal(sizes, ds.n_bands, self.config.batch_size, 1)
+        assert sorted(set(sizes)) == [57, 58, 59]
+        assert sorted(map(len, stacks)) == [1, 1, 8]  # alone, alone, stacked
+
+        result = run_crossval(arch, depth, ds, self.config, n_folds=10)
+        expected = fold_by_fold(arch, depth, ds, self.config, 10)
+        assert len({h.stopped_epoch for _, h, _ in expected}) > 1
+        assert result.histories == [h for _, h, _ in expected]
+        assert result.report.fold_accuracies == [acc for _, _, acc in expected]
+        for model, (want, _, _) in zip(result.models, expected):
+            assert model.vector.tobytes() == want.vector.tobytes()
+
+    def test_lowest_index_divergence_wins(self):
+        # alone, folds 0 and 1 diverge at epoch 2 and fold 2 at epoch 1
+        ds = small_synth()
+        config = TrainConfig(learning_rate=1.2, max_epochs=8, patience=8, seed=2)
+        split = SplitSpec(n_folds=3, seed=2)
+        sets = [stratified_split(ds, split, fold) for fold in range(3)]
+        assert evaluation._deal([s[0].n_samples for s in sets], 10, 32, 1) == [
+            [0, 1, 2]]
+        seeds = [evaluation._child_seed(2, fold) for fold in range(3)]
+        alone = [diverged(lambda: train(
+            build_model("nd", 4, 10, seed=seed, band_names=ds.band_names),
+            train_set, val_set, replace(config, seed=seed)))
+            for seed, (train_set, val_set, _) in zip(seeds, sets)]
+        assert [epoch for _, epoch, _ in alone] == [2, 2, 1]
+        outcomes = network._lockstep(
+            [build_model("nd", 4, 10, seed=seed, band_names=ds.band_names)
+             for seed in seeds], np.stack([s[0].X for s in sets]),
+            np.stack([s[0].y for s in sets]), [s[1] for s in sets], config, seeds)
+        assert [(str(o), o.epoch, o.fold) for o in outcomes] == alone
+
+        expected = diverged(lambda: fold_by_fold("nd", 4, ds, config, 3))
+        assert expected == (f"fold 0: {alone[0][0]}", 2, 0)
+        assert diverged(lambda: run_crossval("nd", 4, ds, config,
+                                             n_folds=3)) == expected
+
+    def test_fold_serial_would_not_train_does_not_warn(self):
+        # fold 0 diverges at epoch 1 on a finite loss; fold 1 trains on rows
+        # of 1e300, which overflow, but a fold-by-fold run stops first
+        ds = small_synth()
+        config = TrainConfig(learning_rate=100.0, max_epochs=4, patience=4, seed=0)
+        split = SplitSpec(n_folds=2, seed=0)
+        ds = scaled_fold_rows(ds, split, 1, 1e300)
+        train_set, val_set, _ = stratified_split(ds, split, 1)
+        seed = evaluation._child_seed(0, 1)
+        with pytest.warns(RuntimeWarning), pytest.raises(network.TrainingDiverged):
+            train(build_model("mlp", 3, 10, seed=seed, band_names=ds.band_names),
+                  train_set, val_set, replace(config, seed=seed))
+
+        expected = diverged(lambda: fold_by_fold("mlp", 3, ds, config, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert diverged(lambda: run_crossval("mlp", 3, ds, config,
+                                                 n_folds=2)) == expected
+        assert expected[1:] == (1, 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warnings_come_as_fold_by_fold(self, workers):
+        # fold 0 itself overflows: its warnings are reported, in its order
+        ds = small_synth()
+        config = TrainConfig(learning_rate=100.0, max_epochs=4, patience=4, seed=0)
+        ds = scaled_fold_rows(ds, SplitSpec(n_folds=2, seed=0), 0, 1e300)
+
+        def caught(run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcome = diverged(run)
+            return outcome, [(w.category, str(w.message)) for w in caught]
+
+        expected = caught(lambda: fold_by_fold("mlp", 3, ds, config, 2))
+        assert expected[1] and expected[0][2] == 0
+        assert caught(lambda: run_crossval("mlp", 3, ds, config, n_folds=2,
+                                           workers=workers)) == expected
+
+
+class TestDeal:
+    def sizes(self, n=240, n_folds=10):
+        split = SplitSpec(n_folds=n_folds, seed=0)
+        ds = small_synth(n=n)
+        return [stratified_split(ds, split, fold)[0].n_samples
+                for fold in range(n_folds)]
+
+    def test_budget_holds_ten_folds_at_ten_bands_and_one_at_32(self):
+        assert network._stack_size(10, 32) == 11  # 11 * 32 * 45 <= 1 << 14
+        assert network._stack_size(32, 32) == 1  # 32 * 496 = 15,872 floats
+        sizes = self.sizes()
+        assert evaluation._deal(sizes, 10, 32, 1) == [list(range(10))]
+        assert sorted(evaluation._deal(sizes, 32, 32, 1)) == [[f] for f in range(10)]
+
+    def test_workers_split_the_stacks(self):
+        stacks = evaluation._deal(self.sizes(), 10, 32, 2)
+        assert sorted(stacks) == [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]
+        stacks = evaluation._deal(self.sizes(n_folds=2), 10, 32, 4)
+        assert sorted(stacks) == [[0], [1]]
+
+    def test_equal_training_sizes_share_a_stack(self):
+        sizes = self.sizes(n=83)
+        stacks = evaluation._deal(sizes, 10, 32, 1)
+        assert sorted(fold for stack in stacks for fold in stack) == list(range(10))
+        for stack in stacks:
+            assert len({sizes[fold] for fold in stack}) == 1
+        assert len(stacks) == len(set(sizes))
+
+
 class TestFoldTestSplit:
     def test_matches_stratified_split(self):
-        from ndnet.data import stratified_split
         ds = small_synth()
         split = SplitSpec(n_folds=10, seed=12)
         for fold in (0, 7):
@@ -762,7 +915,6 @@ class TestFoldTestSplit:
             assert np.array_equal(direct.X, via_helper.X)
 
     def test_builds_only_the_test_subset(self, monkeypatch):
-        from ndnet.data import stratified_split
         ds = small_synth()
         split = SplitSpec(n_folds=10, seed=12)
         expected = stratified_split(ds, split, 3)[2]
