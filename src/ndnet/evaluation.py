@@ -521,16 +521,16 @@ class CrossvalResult:
 def _train_stack(job):
     """Train the folds of one stack side by side (``network._lockstep``).
 
-    ``job`` is (arch, depth, dataset, config, split, folds, settings):
-    ``folds`` lists fold indices in order, and ``settings`` is numpy's
+    ``job`` is (arch, depth, dataset, config, folds, rows, settings):
+    ``folds`` lists fold indices in order, ``rows`` each fold's (train,
+    validation, test) row indices, and ``settings`` is numpy's
     error settings (``np.geterr()``) under which floating-point errors
     are only recorded, or None to train under numpy's current settings.
     Returns a (fold, test accuracy, model, outcome) tuple per fold, the
     outcome as ``_lockstep`` gives it and the accuracy None for a diverged
     fold, and whether an error was recorded.
     """
-    arch, depth, dataset, config, split, folds, settings = job
-    rows = [data_mod._fold_rows(dataset.y, split, fold) for fold in folds]
+    arch, depth, dataset, config, folds, rows, settings = job
     seeds = [_child_seed(config.seed, fold) for fold in folds]
     models = [net.build_model(arch, depth, dataset.n_bands, seed=seed,
                               eps=config.eps, band_names=dataset.band_names)
@@ -594,10 +594,12 @@ def run_crossval(arch: str, depth: int, dataset, config: net.TrainConfig,
     a run would not have trained.
     """
     split = data_mod.SplitSpec(n_folds=n_folds, seed=config.seed)
-    sizes = [len(data_mod._fold_rows(dataset.y, split, fold)[0])
-             for fold in range(n_folds)]
-    jobs = [(arch, depth, dataset, config, split, stack, np.geterr())
-            for stack in _deal(sizes, dataset.n_bands, config.batch_size, workers)]
+    rows = [data_mod._fold_rows(dataset.y, split, fold)
+            for fold in range(n_folds)]
+    jobs = [(arch, depth, dataset, config, stack,
+             [rows[fold] for fold in stack], np.geterr())
+            for stack in _deal([len(train) for train, _, _ in rows],
+                               dataset.n_bands, config.batch_size, workers)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_train_stack, jobs))
@@ -607,8 +609,8 @@ def run_crossval(arch: str, depth: int, dataset, config: net.TrainConfig,
     if any(errors for _, errors in done):
         outcomes = []
         for fold in range(n_folds):
-            (item,), _ = _train_stack((arch, depth, dataset, config, split,
-                                       [fold], None))
+            (item,), _ = _train_stack((arch, depth, dataset, config, [fold],
+                                       [rows[fold]], None))
             outcomes.append(item)
             if isinstance(item[3], net.TrainingDiverged):
                 break

@@ -695,13 +695,20 @@ class TestRunCrossval:
             assert np.array_equal(a.vector, b.vector)
 
     def test_divergence_names_the_fold(self):
+        # alone, only fold 2 of these three diverges; two workers train it
+        # second in the stack [0, 2]
         ds = small_synth()
-        config = TrainConfig(learning_rate=1e4, max_epochs=3, patience=3, seed=0)
-        with np.errstate(all="ignore"), pytest.raises(
-                network.TrainingDiverged,
-                match=r"^fold 0: training diverged at epoch \d") as info:
-            run_crossval("mlp", 3, ds, config, n_folds=2)
-        assert info.value.fold == 0 and info.value.epoch >= 1
+        config = TrainConfig(learning_rate=1.12, max_epochs=8, patience=8, seed=2)
+        split = SplitSpec(n_folds=3, seed=2)
+        sizes = [stratified_split(ds, split, fold)[0].n_samples
+                 for fold in range(3)]
+        assert sorted(evaluation._deal(sizes, 10, 32, 2)) == [[0, 2], [1]]
+        for workers in (1, 2):
+            with np.errstate(all="ignore"), pytest.raises(
+                    network.TrainingDiverged,
+                    match=r"^fold 2: training diverged at epoch 1\b") as info:
+                run_crossval("nd", 4, ds, config, n_folds=3, workers=workers)
+            assert info.value.fold == 2 and info.value.epoch == 1
 
     def test_attach_noise_sweep_degradation(self):
         ds = small_synth()
@@ -836,6 +843,17 @@ class TestLockstep:
         assert expected == (f"fold 0: {alone[0][0]}", 2, 0)
         assert diverged(lambda: run_crossval("nd", 4, ds, config,
                                              n_folds=3)) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lowest_index_wins_across_stacks(self, workers):
+        # alone, folds 1 and 2 diverge at epoch 2; two workers stack the
+        # folds as [0, 2] and [1]
+        ds = small_synth()
+        config = TrainConfig(learning_rate=1.025, max_epochs=8, patience=8, seed=2)
+        expected = diverged(lambda: fold_by_fold("nd", 4, ds, config, 3))
+        assert expected[1:] == (2, 1)
+        assert diverged(lambda: run_crossval("nd", 4, ds, config, n_folds=3,
+                                             workers=workers)) == expected
 
     def test_fold_serial_would_not_train_does_not_warn(self):
         # fold 0 diverges at epoch 1 on a finite loss; fold 1 trains on rows
