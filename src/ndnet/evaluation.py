@@ -12,13 +12,15 @@ checked coordinates are stacked on a new leading axis, in blocks of at
 most ``network._BLOCK_ELEMENTS`` floats per stacked array, and each block
 is scored by one call through the private cores (``ndlayer._forward``,
 ``network._gate``, ``network._dense_forward``), which broadcast over that
-axis. A bare-layer block, of the raw alpha|beta coefficients or of the
-input row, is one ``_forward`` call, which applies softplus to the block
-itself. A whole-model block replays only the stages downstream of the
-perturbed array: a dense layer's arrays replay that layer and the ones
-after it from the input it was given, the attention gate's arrays replay
-the gate on the cached pair outputs and then every dense layer, the
-pairwise coefficients (as the alpha|beta block of the vector) replay
+axis. The blocks of one array reuse one stack of copies: each block
+perturbs its items in place, is scored and is put back. A bare-layer
+block, of the raw alpha|beta coefficients or of the input row, is one
+``_forward`` call, which applies softplus to the block itself. A
+whole-model block replays only the stages downstream of the perturbed
+array: a dense layer's arrays replay that layer and the ones after it
+from the input it was given, the attention gate's arrays replay the gate
+on the cached pair outputs and then every dense layer, the pairwise
+coefficients (as the alpha|beta block of the vector) replay
 ``_forward`` on the stacked block, then the gate and the dense layers,
 and the input replays the whole forward.
 
@@ -395,21 +397,28 @@ def _stacked_diffs(score, base, coords, n_bands):
     """Central differences of ``score`` in the flat ``coords`` of ``base``.
 
     ``score`` maps a stack of S copies of ``base``, shaped
-    ``(S,) + base.shape``, to S values. With h = FD_STEP, the fl(x + h)
-    copies of a block of coordinates and then their fl(x - h) copies are
-    stacked and scored by one ``score`` call. A block holds at most
-    ``net._block_rows(n_bands, base.size)`` copies, and at least one pair.
+    ``(S,) + base.shape``, to S values, and must only read the stack. With
+    h = FD_STEP, the fl(x + h) copies of a block of coordinates and then
+    their fl(x - h) copies are scored by one ``score`` call. A block holds
+    at most ``net._block_rows(n_bands, base.size)`` copies, and at least
+    one pair. One stack of that many copies (or fewer, when there are
+    fewer coordinates) is filled with ``base`` once; each block writes its
+    2m perturbed values into the leading 2m items, scores those items and
+    writes the m base values back.
     """
     per_block = max(1, net._block_rows(n_bands, base.size) // 2)
+    stack = np.repeat(base[None], 2 * min(per_block, len(coords)), axis=0)
+    flat = stack.reshape(len(stack), -1)
+    items = np.arange(len(stack))
     numeric = np.empty(len(coords))
     for start in range(0, len(coords), per_block):
         ks = coords[start:start + per_block]
         m = len(ks)
-        stack = np.repeat(base[None], 2 * m, axis=0)
+        rows, cols = items[:2 * m], np.concatenate((ks, ks))
         orig = base.flat[ks]
-        stack.reshape(2 * m, -1)[np.arange(2 * m), np.tile(ks, 2)] = np.concatenate(
-            (orig + FD_STEP, orig - FD_STEP))
-        values = score(stack)
+        flat[rows, cols] = np.concatenate((orig + FD_STEP, orig - FD_STEP))
+        values = score(stack[:2 * m])
+        flat[rows, cols] = np.concatenate((orig, orig))
         numeric[start:start + m] = (values[:m] - values[m:]) / (2.0 * FD_STEP)
     return numeric
 
@@ -463,12 +472,13 @@ def gradcheck(target: str, depth: int = 3, trials: int = 100,
     trial for the whole-model targets (nd depth 4 has 6 dense arrays, so
     up to 6 x 40 dense coordinates per trial at the default); ``None``
     checks every coordinate. It must be None or an int of at least 1,
-    ``seed`` an int of at least 0, and ``eps`` a positive finite real.
+    ``seed`` an int of at least 0, and ``tolerance`` and ``eps`` positive
+    finite reals (not bools).
     """
     if target not in GRADCHECK_TARGETS:
         raise ValueError(f"unknown gradcheck target {target!r}")
-    if not (tolerance > 0 and np.isfinite(tolerance)):
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
+    if not (data_mod._is_real(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a positive finite real, got {tolerance!r}")
     if not (data_mod._is_int(trials) and trials >= 1):
         raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
     if max_coords is not None and not (data_mod._is_int(max_coords)

@@ -27,11 +27,18 @@ def softplus(x):
 def sigmoid(x):
     """1 / (1 + e^-x) without overflow, in (0, 1).
 
-    Both sign branches share the common factor t = e^-|x|, which makes
-    sigmoid(x) + sigmoid(-x) == 1 hold at ulp level: the two branches are
-    1/(1+t) and t/(1+t) with the identical t and denominator.
+    Evaluated as e^min(x, 0) / (1 + e^-|x|) in place, without branches:
+    for x >= 0 that is 1/(1+t) and for x < 0 it is t/(1+t), where
+    t = e^-|x| (= e^x there). Both signs share that t and the denominator
+    d = 1 + t, which makes sigmoid(x) + sigmoid(-x) == 1 hold at ulp
+    level. A scalar comes back as a 0-d array.
     """
     x = np.asarray(x, dtype=np.float64)
-    t = np.exp(-np.abs(x))
-    d = 1.0 + t
-    return np.where(x >= 0, 1.0 / d, t / d)
+    d = np.abs(x, out=np.empty(x.shape))
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    out = np.minimum(x, 0.0, out=np.empty(x.shape))
+    np.exp(out, out=out)
+    out /= d
+    return out

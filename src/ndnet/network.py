@@ -508,7 +508,8 @@ class ReplayCache:
 
 
 # Float64 elements per scoring block array (512 KB); ``_model_logits``
-# sizes its row blocks by it, and gradient checks their stacks.
+# sizes its row blocks by it, and gradient checks the one stack that each
+# checked array's blocks reuse (``evaluation._stacked_diffs``).
 _BLOCK_ELEMENTS = 1 << 16
 # Float64 elements per stacked (models, batch, width) training-step array:
 # 128 KiB, glibc's default mmap threshold, above which every step's

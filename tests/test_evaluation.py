@@ -350,10 +350,13 @@ class TestGradcheck:
         with pytest.raises(ValueError, match="trials"):
             gradcheck("nd", depth=2, trials=trials)
 
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    # True once ran as a tolerance of 1.0; "1e-5" and None ended in TypeErrors
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, True, "1e-5", None])
     def test_tolerance_must_be_finite(self, tolerance):
-        with pytest.raises(ValueError, match="tolerance"):
+        with pytest.raises(ValueError) as info:
             gradcheck("ndlayer", trials=1, tolerance=tolerance)
+        assert str(info.value) == ("tolerance must be a positive finite real, "
+                                   f"got {tolerance!r}")
 
     def test_whole_model_families(self):
         report = gradcheck("attnd", depth=2, trials=3, tolerance=1e-4, seed=1)
@@ -630,6 +633,49 @@ class TestStackedGradcheck:
             assert got.passed == want.passed
         assert stack_lengths == {2}
         assert layer_lengths == {2}
+
+    def test_blocks_perturb_one_stack_and_restore_it(self, monkeypatch):
+        """Every item that ``score`` sees is ``base`` but at the item's own
+        coordinate, which holds fl(x + h) in the block's first half and
+        fl(x - h) in its second; ``base`` comes back unchanged. The small
+        block gives several blocks per array and partial last blocks, and
+        ``max_coords`` unsorted coordinates."""
+        real = evaluation._stacked_diffs
+        h = evaluation.FD_STEP
+        seen = {"calls": 0, "blocks": 0, "partial": 0, "unsorted": 0}
+
+        def checked(score, base, coords, n_bands):
+            before = base.copy()
+            blocks = []
+
+            def spy(stack):
+                m = len(stack) // 2
+                done = sum(blocks)
+                ks = coords[done:done + m]
+                want = np.repeat(base[None], 2 * m, axis=0)
+                flat = want.reshape(2 * m, -1)
+                flat[np.arange(m), ks] = base.flat[ks] + h
+                flat[np.arange(m, 2 * m), ks] = base.flat[ks] - h
+                assert len(ks) == m and np.array_equal(stack, want)
+                values = score(stack)
+                assert np.array_equal(stack, want), "score wrote into its stack"
+                blocks.append(m)
+                return values
+
+            numeric = real(spy, base, coords, n_bands)
+            assert sum(blocks) == len(coords)
+            assert np.array_equal(base, before)
+            seen["calls"] += 1
+            seen["blocks"] += len(blocks) > 1
+            seen["partial"] += blocks[-1] < blocks[0]
+            seen["unsorted"] += bool((np.diff(coords) < 0).any())
+            return numeric
+
+        monkeypatch.setattr(evaluation, "_stacked_diffs", checked)
+        monkeypatch.setattr(network, "_BLOCK_ELEMENTS", 7 * 45)
+        for target, depth in MODEL_TARGETS + LAYER_TARGETS:
+            gradcheck(target, depth=depth, trials=1, seed=5, max_coords=40)
+        assert min(seen.values()) > 0
 
     def test_no_stacked_array_exceeds_the_block(self, monkeypatch):
         sizes = []

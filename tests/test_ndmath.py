@@ -68,6 +68,32 @@ class TestSigmoid:
         out = sigmoid(xs)
         assert (np.diff(out) > 0).all()
 
+    @staticmethod
+    def where_form(x):
+        """The branch form sigmoid once had: the reference for its bits."""
+        x = np.asarray(x, dtype=np.float64)
+        t = np.exp(-np.abs(x))
+        d = 1.0 + t
+        return np.where(x >= 0, 1.0 / d, t / d)
+
+    def test_bits_match_the_where_form(self, rng):
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300,
+                 709.0, -709.0, 745.0, -745.0, 746.0, -746.0, 1e308, -1e308,
+                 math.inf, -math.inf, math.nan]
+        draws = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)
+        x = np.concatenate([edges, rng.uniform(-50, 50, 100_000),
+                            rng.uniform(-800, 800, 100_000), draws])
+        got, want = sigmoid(x), self.where_form(x)
+        assert np.array_equal(np.isnan(got), np.isnan(x))
+        keep = ~np.isnan(x)
+        assert got[keep].tobytes() == want[keep].tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, -3, np.float64(2.5), np.array(-1.0)])
+    def test_scalar_gives_a_scalar(self, x):
+        got = sigmoid(x)
+        assert got.shape == () and got.dtype == np.float64
+        assert got.tobytes() == self.where_form(x).tobytes()
+
     def test_range_and_finiteness(self):
         out = sigmoid(np.array([-1e308, 0.0, 1e308]))
         assert np.isfinite(out).all()
